@@ -3,12 +3,12 @@
 //!
 //! Fabric sizes 4 / 64 / 1024: the enumerative oracle is exercised only
 //! where feasible (its finite model is cubic in the switch count here);
-//! the symbolic backend runs at every size — the thousand-switch case is
+//! the symbolic engine runs at every size — the thousand-switch case is
 //! the acceptance bar for the decision procedure.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pda_netkat::corpus::{fabric_step, fabric_step_redundant};
-use pda_netkat::equiv::{equivalent_with, Backend};
+use pda_netkat::{equivalent, oracle};
 use std::hint::black_box;
 
 /// Enumerative equivalence above this size takes minutes per iteration.
@@ -20,11 +20,11 @@ fn bench_fabric_equiv(c: &mut Criterion) {
         let p = fabric_step(n);
         let q = fabric_step_redundant(n);
         g.bench_with_input(BenchmarkId::new("sym_equiv", n), &(), |b, ()| {
-            b.iter(|| black_box(equivalent_with(Backend::Symbolic, &p, &q)))
+            b.iter(|| black_box(equivalent(&p, &q)))
         });
         if n <= ENUM_FEASIBLE {
             g.bench_with_input(BenchmarkId::new("enum_equiv", n), &(), |b, ()| {
-                b.iter(|| black_box(equivalent_with(Backend::Enumerative, &p, &q)))
+                b.iter(|| black_box(oracle::equivalent(&p, &q)))
             });
         }
     }

@@ -25,6 +25,7 @@ use pda_netsim::{
 use pda_pera::config::{DetailLevel, EvidenceComposition, PeraConfig, Sampling};
 use pda_pera::switch::PeraSwitch;
 use pda_pera::{AdmissionPolicy, FailMode};
+use pda_telemetry::metrics::quantile_sorted;
 use pda_telemetry::Telemetry;
 use std::collections::BTreeSet;
 use std::time::Instant;
@@ -863,10 +864,10 @@ pub fn exp_wire(path_lengths: &[usize]) -> Vec<WireRow> {
 // ---------------------------------------------------------------------
 
 /// One row of E19: verification time on a spine-leaf fabric of `switches`
-/// leaves, symbolic (hash-consed SPP) vs enumerative (finite-model
-/// oracle) backends. Enumerative columns are `None` above the cap —
-/// the oracle's cost is super-linear in mentioned constants and becomes
-/// impractical long before the symbolic backend does.
+/// leaves, symbolic (hash-consed SPP) engine vs the enumerative
+/// finite-model [`pda_netkat::oracle`]. Enumerative columns are `None`
+/// above the cap — the oracle's cost is super-linear in mentioned
+/// constants and becomes impractical long before the symbolic engine's.
 #[derive(Debug)]
 pub struct E19Row {
     /// Leaf count of the fabric.
@@ -892,12 +893,11 @@ pub struct E19Row {
 /// E19 — verify-time scaling, switch count × policy size, symbolic vs
 /// enumerative. For each size the harness checks `fabric_step(n)` ≡
 /// `fabric_step_redundant(n)` (dead/duplicated/reordered clauses added)
-/// and spine-leaf reachability from leaf 1 to leaf `n`, timing both
-/// backends; the enumerative oracle only runs at sizes ≤ `enum_cap`.
+/// and spine-leaf reachability from leaf 1 to leaf `n`, timing the
+/// engine and the oracle; the oracle only runs at sizes ≤ `enum_cap`.
 pub fn exp_e19(sizes: &[usize], enum_cap: usize) -> Vec<E19Row> {
     use pda_netkat::corpus::{fabric_step, fabric_step_redundant};
-    use pda_netkat::equiv::{equivalent_with, Backend};
-    use pda_netkat::reach::can_reach_enumerative;
+    use pda_netkat::{equivalent, oracle};
 
     sizes
         .iter()
@@ -906,13 +906,13 @@ pub fn exp_e19(sizes: &[usize], enum_cap: usize) -> Vec<E19Row> {
             let q = fabric_step_redundant(n as u32);
 
             let t0 = Instant::now();
-            let equivalent = equivalent_with(Backend::Symbolic, &p, &q);
+            let equivalent = equivalent(&p, &q);
             let sym_equiv_ns = t0.elapsed().as_nanos();
             assert!(equivalent, "redundant fabric must stay equivalent");
 
             let enum_equiv_ns = (n <= enum_cap).then(|| {
                 let t0 = Instant::now();
-                let e = equivalent_with(Backend::Enumerative, &p, &q);
+                let e = oracle::equivalent(&p, &q);
                 assert!(e, "oracle must agree");
                 t0.elapsed().as_nanos()
             });
@@ -932,7 +932,7 @@ pub fn exp_e19(sizes: &[usize], enum_cap: usize) -> Vec<E19Row> {
 
             let enum_reach_ns = (n <= enum_cap).then(|| {
                 let t0 = Instant::now();
-                let r = can_reach_enumerative(&p, &init, &goal);
+                let r = oracle::can_reach(&p, &init, &goal);
                 assert!(r, "oracle must agree");
                 t0.elapsed().as_nanos()
             });
@@ -1645,15 +1645,6 @@ pub fn exp_e18_with(tel: &Telemetry) -> Vec<E18Row> {
         .collect()
 }
 
-/// Nearest-rank percentile over an ascending-sorted sample.
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((sorted.len() as f64 * q).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
 /// One cell of the E18 connection-plane sweep.
 #[derive(Debug)]
 pub struct E18SweepRow {
@@ -1772,8 +1763,8 @@ pub fn exp_e18_sweep() -> Vec<E18SweepRow> {
                 workers,
                 verdicts: VERDICTS,
                 verdicts_per_sec: VERDICTS as f64 * 1e9 / best_elapsed_ns as f64,
-                p50_ns: percentile(&latencies, 0.50),
-                p99_ns: percentile(&latencies, 0.99),
+                p50_ns: quantile_sorted(&latencies, 0.50),
+                p99_ns: quantile_sorted(&latencies, 0.99),
                 client_reuses: client.reused_connections(),
             }
         })

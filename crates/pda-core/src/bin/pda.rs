@@ -13,12 +13,11 @@
 //!              [--telemetry json|prom|off]
 //!              run the linear scenario and appraise
 //! pda netkat   '<policy>' [--equiv '<policy>']  parse / compare NetKAT
-//! pda netkat   equiv '<p>' '<q>' [--backend sym|enum]
-//! pda netkat   equiv --check [--backend sym|enum]
+//! pda netkat   equiv '<p>' '<q>' | equiv --check
 //!              decide policy equivalence (corpus regression with --check)
 //! pda netkat   reach '<step>' --from 'sw=1,pt=0' --goal '<pred>'
-//!              [--backend sym|enum]          reachability + witness path
-//! pda netkat   slice '<policy>' --switch N [--backend sym|enum]
+//!              reachability + witness path
+//! pda netkat   slice '<policy>' --switch N
 //!              per-switch slice, soundness verified symbolically
 //! pda lint     <builtin|all> [--format json] [--check]
 //!              run the static analyzer over builtin dataplane programs
@@ -83,10 +82,9 @@ const USAGE: &str = "usage:
   pda simulate --hops N [--legacy i,j] [--oob] [--packets P]
                [--telemetry json|prom|off]
   pda netkat   '<policy>' [--equiv '<policy>']
-  pda netkat   equiv '<p>' '<q>' | equiv --check   [--backend sym|enum]
+  pda netkat   equiv '<p>' '<q>' | equiv --check
   pda netkat   reach '<step>' --from 'sw=1,pt=0' --goal '<pred>'
-               [--backend sym|enum]
-  pda netkat   slice '<policy>' --switch N [--backend sym|enum]
+  pda netkat   slice '<policy>' --switch N
   pda lint     <builtin|all> [--format json] [--check]
   pda serve    [--port P] [--hops N] [--appraisers N]
                [--quorum majority|unanimous|K-of-N] [--corrupt] [--workers W]
@@ -288,14 +286,15 @@ fn cmd_wire(args: &[String]) -> Result<(), String> {
         },
         directives: r.directives,
     });
-    println!("{}", hex(&bytes));
+    println!("{}", pda_crypto::hex_encode(&bytes));
     eprintln!("({} bytes)", bytes.len());
     Ok(())
 }
 
 fn cmd_decode(args: &[String]) -> Result<(), String> {
     let hex_in = first_positional(args)?;
-    let bytes = unhex(hex_in)?;
+    let bytes =
+        pda_crypto::hex_decode(hex_in.trim()).ok_or("bad hex (want pairs of hex digits)")?;
     let p = wire::decode(&bytes).map_err(|e| e.to_string())?;
     println!("nonce:      {:#018x}", p.nonce);
     println!("in-band:    {}", p.flags.in_band_evidence);
@@ -408,39 +407,37 @@ fn cmd_netkat_legacy(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `--backend sym|enum` (default: the symbolic decision procedure).
-fn netkat_backend(args: &[String]) -> Result<pda_netkat::Backend, String> {
-    match flag_value(args, "--backend").unwrap_or("sym") {
-        "sym" => Ok(pda_netkat::Backend::Symbolic),
-        "enum" => Ok(pda_netkat::Backend::Enumerative),
-        other => Err(format!("unknown --backend `{other}` (want sym | enum)")),
-    }
-}
-
-/// Positional (non-flag) arguments; `--check` is a bare flag, every other
-/// `--flag` consumes the following value.
-fn netkat_positionals(args: &[String]) -> Vec<&str> {
+/// Positional arguments of a `netkat` subcommand. `bare` flags stand
+/// alone, `valued` flags consume the following value; any other `--flag`
+/// is an error, so a retired or misspelt option fails loudly instead of
+/// being ignored.
+fn netkat_positionals<'a>(
+    args: &'a [String],
+    bare: &[&str],
+    valued: &[&str],
+) -> Result<Vec<&'a str>, String> {
     let mut out = Vec::new();
     let mut i = 0;
     while i < args.len() {
-        if args[i] == "--check" {
+        let a = args[i].as_str();
+        if valued.contains(&a) {
             i += 1;
-        } else if args[i].starts_with("--") {
-            i += 2;
-        } else {
-            out.push(args[i].as_str());
-            i += 1;
+        } else if a.starts_with("--") && !bare.contains(&a) {
+            return Err(format!("unknown flag `{a}`"));
+        } else if !a.starts_with("--") {
+            out.push(a);
         }
+        i += 1;
     }
-    out
+    Ok(out)
 }
 
 fn cmd_netkat_equiv(args: &[String]) -> Result<(), String> {
-    let backend = netkat_backend(args)?;
+    let pos = netkat_positionals(args, &["--check"], &[])?;
     if has_flag(args, "--check") {
         let mut bad = Vec::new();
         for pair in pda_netkat::corpus::policy_pairs() {
-            let got = pda_netkat::equivalent_with(backend, &pair.p, &pair.q);
+            let got = pda_netkat::equivalent(&pair.p, &pair.q);
             let ok = got == pair.equivalent;
             println!(
                 "{} {:30} expected {}, got {}",
@@ -461,7 +458,6 @@ fn cmd_netkat_equiv(args: &[String]) -> Result<(), String> {
         }
         return Ok(());
     }
-    let pos = netkat_positionals(args);
     let [p_src, q_src] = pos[..] else {
         return Err("netkat equiv wants two policies (or --check)".into());
     };
@@ -470,7 +466,7 @@ fn cmd_netkat_equiv(args: &[String]) -> Result<(), String> {
     if p.has_dup() || q.has_dup() {
         return Err("equivalence works on the dup-free fragment".into());
     }
-    match pda_netkat::counterexample_with(backend, &p, &q) {
+    match pda_netkat::counterexample(&p, &q) {
         None => println!("equivalent: yes"),
         Some(cx) => println!("equivalent: NO — counterexample {cx:?}"),
     }
@@ -505,8 +501,10 @@ fn parse_packet_spec(spec: &str) -> Result<pda_netkat::Packet, String> {
 }
 
 fn cmd_netkat_reach(args: &[String]) -> Result<(), String> {
-    let backend = netkat_backend(args)?;
-    let step = pda_netkat::parse_policy(first_positional(args)?).map_err(|e| e.to_string())?;
+    let [step] = netkat_positionals(args, &[], &["--from", "--goal"])?[..] else {
+        return Err("netkat reach wants one step policy".into());
+    };
+    let step = pda_netkat::parse_policy(step).map_err(|e| e.to_string())?;
     let from = parse_packet_spec(
         flag_value(args, "--from").ok_or("netkat reach wants --from 'sw=..,pt=..'")?,
     )?;
@@ -515,13 +513,7 @@ fn cmd_netkat_reach(args: &[String]) -> Result<(), String> {
     )
     .map_err(|e| e.to_string())?;
     let init = std::collections::BTreeSet::from([from]);
-    let path = match backend {
-        pda_netkat::Backend::Symbolic => pda_netkat::witness_path(&step, &init, &goal),
-        pda_netkat::Backend::Enumerative => {
-            pda_netkat::witness_path_enumerative(&step, &init, &goal)
-        }
-    };
-    match path {
+    match pda_netkat::witness_path(&step, &init, &goal) {
         Some(path) => {
             println!("reachable: yes ({} hops)", path.len() - 1);
             println!("switches:  {:?}", pda_netkat::switches_along(&path));
@@ -535,21 +527,17 @@ fn cmd_netkat_reach(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_netkat_slice(args: &[String]) -> Result<(), String> {
-    use pda_netkat::{Field, Policy, Pred};
-    let backend = netkat_backend(args)?;
-    let p = pda_netkat::parse_policy(first_positional(args)?).map_err(|e| e.to_string())?;
+    let [p] = netkat_positionals(args, &[], &["--switch"])?[..] else {
+        return Err("netkat slice wants one policy".into());
+    };
+    let p = pda_netkat::parse_policy(p).map_err(|e| e.to_string())?;
     let sw: u32 = flag_value(args, "--switch")
         .ok_or("netkat slice wants --switch N")?
         .parse()
         .map_err(|_| "bad --switch value".to_string())?;
     let slice = pda_netkat::slice_for_switch(&p, sw);
-    let guard = Policy::filter(Pred::test(Field::Switch, sw));
-    let verified = !p.has_dup()
-        && pda_netkat::equivalent_with(
-            backend,
-            &guard.clone().seq(p.clone()),
-            &guard.seq(slice.clone()),
-        );
+    let verified =
+        !p.has_dup() && pda_netkat::slice_equivalent(&p, &slice, pda_netkat::Field::Switch, sw);
     println!("slice:    {slice}");
     println!("size:     {} nodes (network: {})", slice.size(), p.size());
     println!("verified: {}", if verified { "yes" } else { "NO" });
@@ -886,19 +874,4 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         .transpose()?;
     print!("{}", pda_telemetry::render_trace_trees(&text, filter)?);
     Ok(())
-}
-
-fn hex(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
-}
-
-fn unhex(s: &str) -> Result<Vec<u8>, String> {
-    let s = s.trim();
-    if !s.len().is_multiple_of(2) {
-        return Err("odd-length hex".into());
-    }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).map_err(|e| e.to_string()))
-        .collect()
 }

@@ -21,6 +21,40 @@ pub fn hex_encode(bytes: &[u8]) -> String {
     String::from_utf8(out).expect("hex output is ASCII")
 }
 
+const NOT_HEX: u8 = 0xff;
+
+/// Byte → nibble value of an ASCII hex digit (either case), else `NOT_HEX`.
+const UNHEX: [u8; 256] = {
+    let mut t = [NOT_HEX; 256];
+    let mut i = 0;
+    while i < 16 {
+        t[HEX[i] as usize] = i as u8;
+        t[HEX[i].to_ascii_uppercase() as usize] = i as u8;
+        i += 1;
+    }
+    t
+};
+
+/// Decode hex via table lookup: the inverse of [`hex_encode`], also
+/// accepting upper case. `None` on odd length or any byte that is not an
+/// ASCII hex digit, so no sign (`u8::from_str_radix` takes a leading `+`)
+/// and no multi-byte character gets through.
+pub fn hex_decode(s: &str) -> Option<Vec<u8>> {
+    let s = s.as_bytes();
+    if !s.len().is_multiple_of(2) {
+        return None;
+    }
+    let mut out = Vec::with_capacity(s.len() / 2);
+    for pair in s.chunks_exact(2) {
+        let (hi, lo) = (UNHEX[usize::from(pair[0])], UNHEX[usize::from(pair[1])]);
+        if hi == NOT_HEX || lo == NOT_HEX {
+            return None;
+        }
+        out.push(hi << 4 | lo);
+    }
+    Some(out)
+}
+
 /// A 256-bit digest value.
 ///
 /// Wraps `[u8; 32]` to give hashes a distinct type from raw byte strings,
@@ -73,11 +107,7 @@ impl Digest {
         if s.len() != 64 {
             return None;
         }
-        let mut out = [0u8; 32];
-        for i in 0..32 {
-            out[i] = u8::from_str_radix(&s[i * 2..i * 2 + 2], 16).ok()?;
-        }
-        Some(Digest(out))
+        hex_decode(s)?.try_into().ok().map(Digest)
     }
 
     /// Short prefix for logs and pseudonyms (first 8 hex chars).
@@ -125,6 +155,12 @@ mod tests {
         assert_eq!(Digest::from_hex("zz"), None);
         assert_eq!(Digest::from_hex(&"0".repeat(63)), None);
         assert_eq!(Digest::from_hex(&"g".repeat(64)), None);
+        // Signed pairs: `from_str_radix` would read "+f" as 15.
+        assert_eq!(Digest::from_hex(&format!("+f{}", "0".repeat(62))), None);
+        // 64 bytes of mostly three-byte chars: no pair splits a char.
+        let multibyte = format!("a{}", "€".repeat(21));
+        assert_eq!(multibyte.len(), 64);
+        assert_eq!(Digest::from_hex(&multibyte), None);
     }
 
     #[test]

@@ -151,17 +151,7 @@ pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn hex(bytes: &[u8]) -> String {
-        bytes.iter().map(|b| format!("{b:02x}")).collect()
-    }
-
-    fn unhex(s: &str) -> Vec<u8> {
-        (0..s.len())
-            .step_by(2)
-            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap())
-            .collect()
-    }
+    use crate::digest::{hex_decode, hex_encode as hex};
 
     // RFC 4231 test cases 1-4, 6, 7.
     #[test]
@@ -193,7 +183,7 @@ mod tests {
 
     #[test]
     fn rfc4231_case4() {
-        let key = unhex("0102030405060708090a0b0c0d0e0f10111213141516171819");
+        let key = hex_decode("0102030405060708090a0b0c0d0e0f10111213141516171819").unwrap();
         let msg = vec![0xcd; 50];
         assert_eq!(
             hex(&hmac_sha256(&key, &msg)),

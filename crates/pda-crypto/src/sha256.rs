@@ -35,12 +35,9 @@ const K: [u32; 64] = [
 /// h.update(b"abc");
 /// let d = h.finalize();
 /// assert_eq!(
-///     hex(&d),
+///     pda_crypto::hex_encode(&d),
 ///     "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
 /// );
-/// fn hex(b: &[u8]) -> String {
-///     b.iter().map(|x| format!("{x:02x}")).collect()
-/// }
 /// ```
 #[derive(Clone)]
 pub struct Sha256 {
@@ -376,9 +373,7 @@ pub fn digest_many_from<const L: usize>(start: Midstate, msgs: [&[u8]; L]) -> [[
 mod tests {
     use super::*;
 
-    fn hex(bytes: &[u8]) -> String {
-        bytes.iter().map(|b| format!("{b:02x}")).collect()
-    }
+    use crate::digest::hex_encode as hex;
 
     // NIST FIPS 180-4 / CAVP short-message vectors.
     #[test]

@@ -2,9 +2,10 @@
 //! verdicts, plus the synthetic spine–leaf fabric family used by the E19
 //! scaling experiment and the `netkat_symbolic` criterion group.
 //!
-//! `pda netkat equiv --check` runs every pair through the selected
-//! backend and fails on any verdict mismatch — the CI `netkat` job pins
-//! the symbolic decision procedure against this corpus on every push.
+//! `pda netkat equiv --check` runs every pair through the symbolic
+//! decision procedure and fails on any verdict mismatch; the unit test
+//! below also holds the enumerative [`crate::oracle`] to every verdict.
+//! The CI `netkat` job runs both on every push.
 
 use crate::ast::{Field, Policy, Pred};
 
@@ -42,7 +43,7 @@ pub fn fabric_step(n: u32) -> Policy {
 /// The same fabric as [`fabric_step`] written differently: down-rules in
 /// reverse order, a duplicated `dst = 1` clause, a contradictory (dead)
 /// clause, and the up-path assignments swapped. Semantically equivalent —
-/// the symbolic backend canonicalizes both to the same node.
+/// the symbolic engine canonicalizes both to the same node.
 pub fn fabric_step_redundant(n: u32) -> Policy {
     let up = Policy::filter(Pred::test(Field::Switch, 0).not())
         .seq(Policy::assign(Field::Switch, 0))
@@ -187,26 +188,23 @@ pub fn policy_pairs() -> Vec<PolicyPair> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::equiv::{equivalent_enumerative, equivalent_with, Backend};
+    use crate::{equivalent, oracle};
 
     #[test]
     fn corpus_verdicts_hold_on_both_backends() {
         for pair in policy_pairs() {
             assert_eq!(
-                equivalent_with(Backend::Symbolic, &pair.p, &pair.q),
+                equivalent(&pair.p, &pair.q),
                 pair.equivalent,
                 "symbolic verdict mismatch on {}",
                 pair.name
             );
-            // The enumerative oracle only scales to the small entries.
-            if pair.p.size() + pair.q.size() < 200 {
-                assert_eq!(
-                    equivalent_enumerative(&pair.p, &pair.q),
-                    pair.equivalent,
-                    "enumerative verdict mismatch on {}",
-                    pair.name
-                );
-            }
+            assert_eq!(
+                oracle::equivalent(&pair.p, &pair.q),
+                pair.equivalent,
+                "oracle verdict mismatch on {}",
+                pair.name
+            );
         }
     }
 

@@ -1,79 +1,30 @@
 //! Equivalence checking for dup-free NetKAT policies.
 //!
-//! Two backends decide `p ≡ q`:
-//!
-//! * **Symbolic** (the default): both policies are converted to canonical
-//!   hash-consed transformers in one [`sym::Arena`]; equivalence is then
-//!   id equality and counterexamples fall out of the first structural
-//!   difference ([`sym::Arena::distinguishing_input`]). Scales to
-//!   thousand-switch fabrics (experiment E19).
-//! * **Enumerative** (the oracle): dup-free policies denote functions
-//!   `Packet → Set<Packet>`; the finite-model construction below
-//!   enumerates per-field domains and compares [`eval_set`] pointwise.
-//!   Kept as the independent differential-testing oracle for the
-//!   symbolic engine (`tests/sym_diff.rs`).
-//!
-//! # Completeness of the enumerative finite model
-//!
-//! Tests and modifications only ever compare or assign *constants*, so a
-//! policy's behaviour on a field depends only on which of the mentioned
-//! constants the field equals — or "none of them". Enumerating each field
-//! over the constants mentioned in **either** policy plus exactly one
-//! *fresh representative* is therefore a complete finite model: any two
-//! unmentioned values are indistinguishable by both policies (no test can
-//! separate them, and any assignment maps both to the same constant), so
-//! one representative suffices, and it must be chosen **outside** the
-//! mentioned set or it would alias a distinguishable value and mask
-//! differences. [`fresh_for`] pins this choice to the smallest value not
-//! mentioned for the field; the regression tests below cover the edge
-//! where mentioned values are adjacent to (or interleaved around) the
-//! chosen representative.
+//! Both policies are converted to canonical hash-consed transformers in
+//! one [`sym::Arena`]; equivalence is then id equality and
+//! counterexamples fall out of the first structural difference
+//! ([`sym::Arena::distinguishing_input`]). Scales to thousand-switch
+//! fabrics (experiment E19). The enumerative finite-model procedure in
+//! [`crate::oracle`] is the independent reference the tests below and
+//! `tests/sym_diff.rs` compare against.
 
-use crate::ast::{Field, Packet, Policy};
+use crate::ast::{Packet, Policy};
 use crate::semantics::eval_set;
 use crate::sym;
 use std::collections::BTreeSet;
 
-/// Which decision procedure to run.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum Backend {
-    /// Canonical symbolic transformers ([`sym`]); the default.
-    #[default]
-    Symbolic,
-    /// Finite-model enumeration over [`eval_set`]; the oracle.
-    Enumerative,
-}
-
-/// Decide `p ≡ q` for dup-free policies with the symbolic backend.
+/// Decide `p ≡ q` for dup-free policies.
 /// Panics on `dup` (histories are not compared by this routine).
 pub fn equivalent(p: &Policy, q: &Policy) -> bool {
-    equivalent_with(Backend::Symbolic, p, q)
+    counterexample(p, q).is_none()
 }
 
-/// Find a packet on which the two (dup-free) policies disagree, using the
-/// symbolic backend.
+/// Find a packet on which the two (dup-free) policies disagree.
 pub fn counterexample(p: &Policy, q: &Policy) -> Option<Packet> {
-    counterexample_with(Backend::Symbolic, p, q)
-}
-
-/// Decide `p ≡ q` with an explicit backend choice.
-pub fn equivalent_with(backend: Backend, p: &Policy, q: &Policy) -> bool {
-    counterexample_with(backend, p, q).is_none()
-}
-
-/// Find a distinguishing packet with an explicit backend choice.
-pub fn counterexample_with(backend: Backend, p: &Policy, q: &Policy) -> Option<Packet> {
     assert!(
         !p.has_dup() && !q.has_dup(),
         "equivalence checking is implemented for the dup-free fragment"
     );
-    match backend {
-        Backend::Symbolic => counterexample_symbolic(p, q),
-        Backend::Enumerative => counterexample_enumerative(p, q),
-    }
-}
-
-fn counterexample_symbolic(p: &Policy, q: &Policy) -> Option<Packet> {
     let mut ar = sym::Arena::for_policies(&[p, q]);
     let a = ar
         .spp_from_policy(p)
@@ -91,87 +42,20 @@ fn counterexample_symbolic(p: &Policy, q: &Policy) -> Option<Packet> {
     Some(pkt)
 }
 
-/// Decide `p ≡ q` with the enumerative finite-model oracle.
-pub fn equivalent_enumerative(p: &Policy, q: &Policy) -> bool {
-    counterexample_enumerative(p, q).is_none()
-}
-
-/// The fresh representative for a field: the smallest value not among the
-/// constants mentioned for it. Pinned (and tested) because oracle
-/// completeness requires the representative to lie outside the mentioned
-/// set — see the module docs.
-fn fresh_for(mentioned: &[u32]) -> u32 {
-    (0..)
-        .find(|v| !mentioned.contains(v))
-        .expect("u32 not exhausted")
-}
-
-/// Find a packet on which the two (dup-free) policies disagree by
-/// enumerating the finite model.
-pub fn counterexample_enumerative(p: &Policy, q: &Policy) -> Option<Packet> {
-    let mut consts = Vec::new();
-    p.constants(&mut consts);
-    q.constants(&mut consts);
-
-    // Per-field value domains: mentioned constants + one fresh value.
-    let mut domains: Vec<Vec<u32>> = Vec::with_capacity(Field::ALL.len());
-    for f in Field::ALL {
-        let mut vals: Vec<u32> = consts
-            .iter()
-            .filter(|(g, _)| *g == f)
-            .map(|(_, v)| *v)
-            .collect();
-        vals.sort_unstable();
-        vals.dedup();
-        vals.push(fresh_for(&vals));
-        domains.push(vals);
-    }
-
-    // Enumerate the cross product.
-    let mut pkt = Packet::zero();
-    enumerate(&domains, 0, &mut pkt, &mut |candidate| {
-        let pin = BTreeSet::from([*candidate]);
-        if eval_set(p, &pin) != eval_set(q, &pin) {
-            Some(*candidate)
-        } else {
-            None
-        }
-    })
-}
-
-fn enumerate<T>(
-    domains: &[Vec<u32>],
-    field_idx: usize,
-    pkt: &mut Packet,
-    visit: &mut impl FnMut(&Packet) -> Option<T>,
-) -> Option<T> {
-    if field_idx == domains.len() {
-        return visit(pkt);
-    }
-    for &v in &domains[field_idx] {
-        pkt.0[field_idx] = v;
-        if let Some(t) = enumerate(domains, field_idx + 1, pkt, visit) {
-            return Some(t);
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::Pred;
-
-    const BACKENDS: [Backend; 2] = [Backend::Symbolic, Backend::Enumerative];
+    use crate::ast::{Field, Pred};
+    use crate::oracle;
 
     fn f(p: Pred) -> Policy {
         Policy::filter(p)
     }
 
+    /// The symbolic procedure and the oracle both give `expect`.
     fn both(expect: bool, p: &Policy, q: &Policy) {
-        for b in BACKENDS {
-            assert_eq!(equivalent_with(b, p, q), expect, "backend {b:?}");
-        }
+        assert_eq!(equivalent(p, q), expect, "symbolic");
+        assert_eq!(oracle::equivalent(p, q), expect, "oracle");
     }
 
     // Kleene-algebra-with-tests axioms, checked semantically.
@@ -246,10 +130,10 @@ mod tests {
     fn inequivalent_policies_yield_counterexample() {
         let p = Policy::assign(Field::Port, 1);
         let q = Policy::assign(Field::Port, 2);
-        for b in BACKENDS {
-            let cx = counterexample_with(b, &p, &q).expect("distinct mods must differ");
+        for cx in [counterexample(&p, &q), oracle::counterexample(&p, &q)] {
+            let cx = cx.expect("distinct mods must differ");
             let pin = BTreeSet::from([cx]);
-            assert_ne!(eval_set(&p, &pin), eval_set(&q, &pin), "backend {b:?}");
+            assert_ne!(eval_set(&p, &pin), eval_set(&q, &pin));
         }
     }
 
@@ -270,17 +154,6 @@ mod tests {
     }
 
     #[test]
-    fn fresh_representative_is_pinned_outside_mentioned_values() {
-        assert_eq!(fresh_for(&[]), 0);
-        assert_eq!(fresh_for(&[0]), 1);
-        assert_eq!(fresh_for(&[1, 2]), 0);
-        // Adjacent/contiguous runs: the representative must skip them all.
-        assert_eq!(fresh_for(&[0, 1, 2]), 3);
-        // A gap between mentioned values is fine to use.
-        assert_eq!(fresh_for(&[0, 2]), 1);
-    }
-
-    #[test]
     fn adjacent_mentioned_values_do_not_mask_differences() {
         // p accepts src ∉ {0,1}; q accepts src = 2 only. The mentioned set
         // for src is the contiguous run {0,1,2}: a buggy fresh choice
@@ -291,8 +164,8 @@ mod tests {
             .or(Pred::test(Field::Src, 1))
             .not());
         let q = f(Pred::test(Field::Src, 2));
-        for b in BACKENDS {
-            let cx = counterexample_with(b, &p, &q).expect("must differ");
+        for cx in [counterexample(&p, &q), oracle::counterexample(&p, &q)] {
+            let cx = cx.expect("must differ");
             assert!(
                 cx.get(Field::Src) > 2,
                 "witness must use a value outside the mentioned run, got {cx:?}"

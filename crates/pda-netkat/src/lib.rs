@@ -12,11 +12,17 @@
 //! * [`parser`] — concrete syntax.
 //! * [`semantics`] — exact denotational evaluation: the dup-free
 //!   packet-function semantics and the full packet-history semantics.
-//! * [`equiv`] — decision procedure for dup-free policy equivalence via
-//!   a finite-model argument (KAT axioms are checked in its tests).
+//! * [`sym`] — the KATch-style symbolic engine: hash-consed, canonical
+//!   packet sets and transformers. It is the one decision procedure
+//!   behind every query below.
+//! * [`equiv`] — dup-free policy equivalence and counterexamples (KAT
+//!   axioms are checked in its tests).
 //! * [`reach`] — reachability and shortest-witness path extraction over
 //!   `(p ; t)*` network encodings, used by `pda-hybrid` to resolve
 //!   abstract places to concrete forwarding paths.
+//! * [`oracle`] — enumerative finite-model versions of the queries
+//!   above. Test reference only: it is not re-exported here, and no
+//!   product path calls it.
 //!
 //! ```
 //! use pda_netkat::ast::{Field, Packet, Policy, Pred};
@@ -33,6 +39,7 @@
 pub mod ast;
 pub mod corpus;
 pub mod equiv;
+pub mod oracle;
 pub mod parser;
 pub mod reach;
 pub mod semantics;
@@ -40,15 +47,9 @@ pub mod specialize;
 pub mod sym;
 
 pub use ast::{Field, Packet, Policy, Pred};
-pub use equiv::{
-    counterexample, counterexample_enumerative, counterexample_with, equivalent,
-    equivalent_enumerative, equivalent_with, Backend,
-};
+pub use equiv::{counterexample, equivalent};
 pub use parser::{parse_policy, parse_pred, NkParseError};
-pub use reach::{
-    can_reach, can_reach_enumerative, link, reachable, switches_along, witness_path,
-    witness_path_enumerative,
-};
+pub use reach::{can_reach, link, switches_along, witness_path};
 pub use semantics::{eval_history, eval_packet, eval_set, History};
 pub use specialize::{
     slice_equivalent, slice_for_switch, slice_is_dead, specialize, verified_slice_for_switch,

@@ -12,29 +12,33 @@
 //!   realize `∗⇒`, used to resolve abstract places (`∀hop`) to the actual
 //!   switches along a forwarding path.
 //!
-//! Both queries default to the **symbolic** backend: the step policy is
-//! converted once to a canonical transformer ([`sym::Arena`]) and the
+//! Both queries run on the symbolic engine: the step policy is
+//! converted once to a canonical transformer ([`Arena`]) and the
 //! star fixpoint runs on symbolic packet-*set* frontiers (image under
-//! [`sym::Arena::push`] per layer), so a thousand-switch fabric converges
+//! [`Arena::push`] per layer), so a thousand-switch fabric converges
 //! in topology-diameter many pushes instead of per-packet enumeration.
 //! Witness paths walk the BFS layers backwards through the preimage
-//! operator ([`sym::Arena::pre`]). The original enumerative evaluators
-//! remain as `*_enumerative` and serve as the differential oracle.
+//! operator ([`Arena::pre`]). The concrete-packet reference
+//! procedures live in [`crate::oracle`].
 
 use crate::ast::{Field, Packet, Policy, Pred};
-use crate::semantics::eval_set;
-use crate::sym::{Arena, Sp};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use crate::sym::{Arena, Sp, Spp};
+use std::collections::BTreeSet;
 
-/// All packets reachable from `init` under zero or more applications of
-/// `step` (enumerative: materializes the concrete set).
-pub fn reachable(step: &Policy, init: &BTreeSet<Packet>) -> BTreeSet<Packet> {
-    eval_set(&step.clone().star(), init)
+/// A finished layered BFS of `step*` in `ar`, with `t` the step
+/// transformer. `layers[i]` holds the packets first reached at distance
+/// `i`; `hit` is the goal packets of the last layer, `None` when the
+/// fixpoint closed without meeting the goal.
+struct Search {
+    ar: Arena,
+    t: Spp,
+    layers: Vec<Sp>,
+    hit: Option<Sp>,
 }
 
-/// Does some packet in `init` eventually satisfy `goal` under `step*`?
-/// Symbolic: fixpoint over packet-set images.
-pub fn can_reach(step: &Policy, init: &BTreeSet<Packet>, goal: &Pred) -> bool {
+/// The BFS both queries share: push the frontier through `step` one
+/// layer at a time until a layer meets `goal` or no new packet appears.
+fn search(step: &Policy, init: &BTreeSet<Packet>, goal: &Pred) -> Search {
     assert!(
         !step.has_dup(),
         "reachability is implemented for dup-free step policies"
@@ -50,72 +54,47 @@ pub fn can_reach(step: &Policy, init: &BTreeSet<Packet>, goal: &Pred) -> bool {
         let s = ar.sp_singleton(&vals);
         acc = ar.sp_union(acc, s);
     }
-    let mut frontier = acc;
-    loop {
-        let hit = ar.sp_intersect(frontier, goal_sp);
-        if !ar.sp_is_empty(hit) {
-            return true;
-        }
-        let next = ar.push(frontier, t);
-        frontier = ar.sp_diff(next, acc);
-        if ar.sp_is_empty(frontier) {
-            return false;
-        }
-        acc = ar.sp_union(acc, frontier);
-    }
-}
-
-/// Enumerative oracle for [`can_reach`].
-pub fn can_reach_enumerative(step: &Policy, init: &BTreeSet<Packet>, goal: &Pred) -> bool {
-    reachable(step, init).iter().any(|p| goal.eval(p))
-}
-
-/// Shortest witness trace: a sequence of packets `π₀ … πₖ` with
-/// `π₀ ∈ init`, each `πᵢ₊₁` an output of `step` on `πᵢ`, and `goal(πₖ)`.
-/// Returns `None` when unreachable. Symbolic: BFS layers of packet-set
-/// images, reconstructed backwards through the preimage operator.
-pub fn witness_path(step: &Policy, init: &BTreeSet<Packet>, goal: &Pred) -> Option<Vec<Packet>> {
-    assert!(
-        !step.has_dup(),
-        "reachability is implemented for dup-free step policies"
-    );
-    let mut ar = Arena::for_policies(&[step]);
-    let t = ar
-        .spp_from_policy(step)
-        .expect("dup-free policy converts to a transformer");
-    let goal_sp = ar.sp_from_pred(goal);
-    let mut init_sp = Sp::EMPTY;
-    for pkt in init {
-        let vals = ar.values_of_packet(pkt);
-        let s = ar.sp_singleton(&vals);
-        init_sp = ar.sp_union(init_sp, s);
-    }
-    // Forward BFS layers: layers[i] holds the packets first reached at
-    // distance i.
-    let mut layers = vec![init_sp];
-    let mut acc = init_sp;
-    let hit_layer = loop {
+    let mut layers = vec![acc];
+    let hit = loop {
         let frontier = *layers.last().expect("non-empty");
         let hit = ar.sp_intersect(frontier, goal_sp);
         if !ar.sp_is_empty(hit) {
-            break hit;
+            break Some(hit);
         }
         let next = ar.push(frontier, t);
         let new = ar.sp_diff(next, acc);
         if ar.sp_is_empty(new) {
-            return None;
+            break None;
         }
         acc = ar.sp_union(acc, new);
         layers.push(new);
     };
-    // Backward reconstruction: pick a goal packet, then repeatedly pick a
-    // predecessor from the previous layer via the preimage.
-    let mut cur = ar.sp_witness(hit_layer).expect("non-empty hit layer");
+    Search { ar, t, layers, hit }
+}
+
+/// Does some packet in `init` eventually satisfy `goal` under `step*`?
+pub fn can_reach(step: &Policy, init: &BTreeSet<Packet>, goal: &Pred) -> bool {
+    search(step, init, goal).hit.is_some()
+}
+
+/// Shortest witness trace: a sequence of packets `π₀ … πₖ` with
+/// `π₀ ∈ init`, each `πᵢ₊₁` an output of `step` on `πᵢ`, and `goal(πₖ)`.
+/// Returns `None` when unreachable. The goal packet is picked from the
+/// hit layer and predecessors are recovered backwards through the
+/// preimage operator.
+pub fn witness_path(step: &Policy, init: &BTreeSet<Packet>, goal: &Pred) -> Option<Vec<Packet>> {
+    let Search {
+        mut ar,
+        t,
+        layers,
+        hit,
+    } = search(step, init, goal);
+    let mut cur = ar.sp_witness(hit?).expect("non-empty hit layer");
     let mut path = vec![ar.packet_of_values(&cur)];
-    for i in (0..layers.len() - 1).rev() {
+    for &layer in layers.iter().rev().skip(1) {
         let cur_sp = ar.sp_singleton(&cur);
         let prev = ar.pre(t, cur_sp);
-        let cand = ar.sp_intersect(prev, layers[i]);
+        let cand = ar.sp_intersect(prev, layer);
         cur = ar
             .sp_witness(cand)
             .expect("every BFS layer packet has a predecessor in the prior layer");
@@ -123,46 +102,6 @@ pub fn witness_path(step: &Policy, init: &BTreeSet<Packet>, goal: &Pred) -> Opti
     }
     path.reverse();
     Some(path)
-}
-
-/// Enumerative oracle for [`witness_path`] (explicit BFS with a
-/// predecessor map).
-pub fn witness_path_enumerative(
-    step: &Policy,
-    init: &BTreeSet<Packet>,
-    goal: &Pred,
-) -> Option<Vec<Packet>> {
-    let mut pred: BTreeMap<Packet, Option<Packet>> = BTreeMap::new();
-    let mut queue = VecDeque::new();
-    for &p in init {
-        pred.insert(p, None);
-        queue.push_back(p);
-        if goal.eval(&p) {
-            return Some(vec![p]);
-        }
-    }
-    while let Some(cur) = queue.pop_front() {
-        let outs = eval_set(step, &BTreeSet::from([cur]));
-        for nxt in outs {
-            if pred.contains_key(&nxt) {
-                continue;
-            }
-            pred.insert(nxt, Some(cur));
-            if goal.eval(&nxt) {
-                // Reconstruct.
-                let mut path = vec![nxt];
-                let mut at = nxt;
-                while let Some(Some(prev)) = pred.get(&at) {
-                    path.push(*prev);
-                    at = *prev;
-                }
-                path.reverse();
-                return Some(path);
-            }
-            queue.push_back(nxt);
-        }
-    }
-    None
 }
 
 /// The switch ids visited along a witness path (deduplicated consecutive
@@ -189,6 +128,8 @@ pub fn link(sw_a: u32, pt_a: u32, sw_b: u32, pt_b: u32) -> Policy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle;
+    use crate::semantics::eval_set;
 
     /// Linear topology 1 → 2 → 3: each switch forwards out port 1; links
     /// deliver to the next switch's port 0.
@@ -209,8 +150,8 @@ mod tests {
         let init = BTreeSet::from([Packet::of(&[(Field::Switch, 1), (Field::Port, 0)])]);
         assert!(can_reach(&step, &init, &at_switch(3)));
         assert!(!can_reach(&step, &init, &at_switch(4)));
-        assert!(can_reach_enumerative(&step, &init, &at_switch(3)));
-        assert!(!can_reach_enumerative(&step, &init, &at_switch(4)));
+        assert!(oracle::can_reach(&step, &init, &at_switch(3)));
+        assert!(!oracle::can_reach(&step, &init, &at_switch(4)));
     }
 
     #[test]
@@ -226,7 +167,7 @@ mod tests {
             assert!(outs.contains(&w[1]), "invalid hop {:?} → {:?}", w[0], w[1]);
         }
         // Same length as the enumerative BFS (both are shortest).
-        let oracle = witness_path_enumerative(&step, &init, &at_switch(3)).unwrap();
+        let oracle = oracle::witness_path(&step, &init, &at_switch(3)).unwrap();
         assert_eq!(path.len(), oracle.len());
     }
 
@@ -237,7 +178,7 @@ mod tests {
         let init = BTreeSet::from([Packet::of(&[(Field::Switch, 3), (Field::Port, 0)])]);
         // Switch 3 has no outgoing link.
         assert_eq!(witness_path(&step, &init, &at_switch(1)), None);
-        assert_eq!(witness_path_enumerative(&step, &init, &at_switch(1)), None);
+        assert_eq!(oracle::witness_path(&step, &init, &at_switch(1)), None);
     }
 
     #[test]
@@ -269,7 +210,7 @@ mod tests {
         let topo = link(1, 1, 2, 0).union(link(2, 1, 1, 0));
         let step = fwd.seq(topo);
         let init = BTreeSet::from([Packet::of(&[(Field::Switch, 1), (Field::Port, 0)])]);
-        let r = reachable(&step, &init);
+        let r = oracle::reachable(&step, &init);
         assert!(r.iter().any(|p| p.get(Field::Switch) == 2));
         assert!(!can_reach(&step, &init, &at_switch(3)));
     }
@@ -300,7 +241,7 @@ mod tests {
     }
 
     #[test]
-    fn symbolic_matches_enumerative_on_fabric() {
+    fn symbolic_matches_oracle_on_fabric() {
         use crate::corpus::fabric_step;
         let step = fabric_step(6);
         let init = BTreeSet::from([Packet::of(&[
@@ -312,12 +253,12 @@ mod tests {
             let goal = at_switch(goal_sw);
             assert_eq!(
                 can_reach(&step, &init, &goal),
-                can_reach_enumerative(&step, &init, &goal),
+                oracle::can_reach(&step, &init, &goal),
                 "goal sw={goal_sw}"
             );
         }
         let p = witness_path(&step, &init, &at_switch(5)).unwrap();
-        let o = witness_path_enumerative(&step, &init, &at_switch(5)).unwrap();
+        let o = oracle::witness_path(&step, &init, &at_switch(5)).unwrap();
         assert_eq!(p.len(), o.len());
     }
 }

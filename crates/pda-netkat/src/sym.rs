@@ -1,6 +1,6 @@
 //! Symbolic packet sets and packet transformers (KATch-style SP/SPP).
 //!
-//! The enumerative decision procedure in [`crate::equiv`] enumerates a
+//! The enumerative reference procedure in [`crate::oracle`] enumerates a
 //! finite model whose size is the product of the per-field constant
 //! domains — hopeless for thousand-switch fabrics. This module implements
 //! the symbolic representation KATch introduced for NetKAT: BDD-like,
@@ -42,7 +42,7 @@
 //! rule 3, so *every dup-free transformer has exactly one representation*:
 //! equivalence checking is `Spp` id comparison. The differential property
 //! tests in `tests/sym_diff.rs` cross-validate this against the
-//! enumerative oracle.
+//! enumerative [`crate::oracle`].
 //!
 //! # Star termination
 //!
@@ -102,10 +102,37 @@ struct SppNode {
     id: Spp,
 }
 
+/// The two commutative set operations sharing [`Arena::sp_apply`].
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum SetOp {
+    Union,
+    Intersect,
+}
+
+impl SetOp {
+    /// The result when it needs no recursion: equal operands, or a leaf
+    /// that is the operation's unit (returns the other operand) or its
+    /// absorbing element (returns itself).
+    fn terminal(self, a: Sp, b: Sp) -> Option<Sp> {
+        let (unit, absorbing) = match self {
+            SetOp::Union => (Sp::EMPTY, Sp::FULL),
+            SetOp::Intersect => (Sp::FULL, Sp::EMPTY),
+        };
+        if a == b || b == unit {
+            Some(a)
+        } else if a == unit {
+            Some(b)
+        } else if a == absorbing || b == absorbing {
+            Some(absorbing)
+        } else {
+            None
+        }
+    }
+}
+
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 enum Memo {
-    SpUnion(u32, u32),
-    SpInter(u32, u32),
+    SpApply(SetOp, u32, u32),
     SpComp(u32),
     SppUnion(u32, u32),
     SppSeq(u32, u32),
@@ -166,7 +193,7 @@ impl std::fmt::Display for SymError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SymError::DupUnsupported => {
-                write!(f, "dup is not supported by the symbolic backend")
+                write!(f, "dup is not supported by the symbolic engine")
             }
             SymError::StarBudget(e) => write!(f, "{e}"),
         }
@@ -459,55 +486,21 @@ impl Arena {
 
     /// Set union.
     pub fn sp_union(&mut self, a: Sp, b: Sp) -> Sp {
-        if a == b || b == Sp::EMPTY {
-            return a;
-        }
-        if a == Sp::EMPTY {
-            return b;
-        }
-        if a == Sp::FULL || b == Sp::FULL {
-            return Sp::FULL;
-        }
-        let key = Memo::SpUnion(a.min(b).0, a.max(b).0);
-        if let Some(&r) = self.memo.get(&key) {
-            self.stats.cache_hits += 1;
-            return Sp(r);
-        }
-        self.stats.cache_misses += 1;
-        let f = self.sp_field(a).min(self.sp_field(b));
-        let va = self.sp_view(a, f);
-        let vb = self.sp_view(b, f);
-        let keys: BTreeSet<u64> = va
-            .branches
-            .keys()
-            .chain(vb.branches.keys())
-            .copied()
-            .collect();
-        let mut branches = BTreeMap::new();
-        for v in keys {
-            let ca = va.branches.get(&v).copied().unwrap_or(va.default);
-            let cb = vb.branches.get(&v).copied().unwrap_or(vb.default);
-            let c = self.sp_union(ca, cb);
-            branches.insert(v, c);
-        }
-        let default = self.sp_union(va.default, vb.default);
-        let r = self.mk_sp(f, branches, default);
-        self.memo.insert(key, r.0);
-        r
+        self.sp_apply(SetOp::Union, a, b)
     }
 
     /// Set intersection.
     pub fn sp_intersect(&mut self, a: Sp, b: Sp) -> Sp {
-        if a == b || b == Sp::FULL {
-            return a;
+        self.sp_apply(SetOp::Intersect, a, b)
+    }
+
+    /// Memoized BDD-style binary apply: expand both operands at the
+    /// smaller top field, combine child by child, rebuild canonically.
+    fn sp_apply(&mut self, op: SetOp, a: Sp, b: Sp) -> Sp {
+        if let Some(r) = op.terminal(a, b) {
+            return r;
         }
-        if a == Sp::FULL {
-            return b;
-        }
-        if a == Sp::EMPTY || b == Sp::EMPTY {
-            return Sp::EMPTY;
-        }
-        let key = Memo::SpInter(a.min(b).0, a.max(b).0);
+        let key = Memo::SpApply(op, a.min(b).0, a.max(b).0);
         if let Some(&r) = self.memo.get(&key) {
             self.stats.cache_hits += 1;
             return Sp(r);
@@ -526,10 +519,10 @@ impl Arena {
         for v in keys {
             let ca = va.branches.get(&v).copied().unwrap_or(va.default);
             let cb = vb.branches.get(&v).copied().unwrap_or(vb.default);
-            let c = self.sp_intersect(ca, cb);
+            let c = self.sp_apply(op, ca, cb);
             branches.insert(v, c);
         }
-        let default = self.sp_intersect(va.default, vb.default);
+        let default = self.sp_apply(op, va.default, vb.default);
         let r = self.mk_sp(f, branches, default);
         self.memo.insert(key, r.0);
         r

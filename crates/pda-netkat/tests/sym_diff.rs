@@ -1,15 +1,14 @@
-//! Differential testing of the symbolic backend against the enumerative
-//! oracle: on random dup-free policies the two decision procedures must
+//! Differential testing of the symbolic engine against the enumerative
+//! [`oracle`]: on random dup-free policies the two decision procedures must
 //! agree on equivalence verdicts, counterexample witnesses must actually
 //! distinguish the policies under `eval_packet`, reachability must
 //! coincide, and the arena's structural invariants must hold after every
 //! workload.
 
 use pda_netkat::ast::{Field, Packet, Policy, Pred};
-use pda_netkat::equiv::{counterexample_with, equivalent_with, Backend};
-use pda_netkat::reach::{can_reach, can_reach_enumerative};
 use pda_netkat::semantics::eval_packet;
 use pda_netkat::sym::Arena;
+use pda_netkat::{can_reach, counterexample, equivalent, oracle, witness_path};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -68,16 +67,16 @@ fn pkt() -> impl Strategy<Value = Packet> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The backends agree on the equivalence verdict, and whenever they
-    /// report inequivalence the symbolic witness actually distinguishes
-    /// the policies under the denotational semantics.
+    /// The engine and the oracle agree on the equivalence verdict, and
+    /// whenever they report inequivalence the symbolic witness actually
+    /// distinguishes the policies under the denotational semantics.
     #[test]
     fn backends_agree_on_equivalence(p in policy(), q in policy()) {
-        let sym = equivalent_with(Backend::Symbolic, &p, &q);
-        let enu = equivalent_with(Backend::Enumerative, &p, &q);
+        let sym = equivalent(&p, &q);
+        let enu = oracle::equivalent(&p, &q);
         prop_assert_eq!(sym, enu, "verdict split on p={}, q={}", p, q);
         if !sym {
-            let w = counterexample_with(Backend::Symbolic, &p, &q)
+            let w = counterexample(&p, &q)
                 .expect("inequivalent policies must yield a witness");
             prop_assert_ne!(
                 eval_packet(&p, w),
@@ -106,13 +105,21 @@ proptest! {
         prop_assert!(ar.check_invariants().is_ok());
     }
 
-    /// Symbolic and enumerative reachability coincide.
+    /// Symbolic and enumerative reachability coincide, and so do the
+    /// lengths of the shortest witness paths.
     #[test]
     fn backends_agree_on_reachability(p in policy(), x in pkt(), g in pred()) {
         let init = BTreeSet::from([x]);
         let sym = can_reach(&p, &init, &g);
-        let enu = can_reach_enumerative(&p, &init, &g);
+        let enu = oracle::can_reach(&p, &init, &g);
         prop_assert_eq!(sym, enu, "reachability split on step={}", p);
+        let sym_path = witness_path(&p, &init, &g);
+        let enu_path = oracle::witness_path(&p, &init, &g);
+        prop_assert_eq!(
+            sym_path.as_ref().map(Vec::len),
+            enu_path.as_ref().map(Vec::len),
+            "witness length split on step={}", p
+        );
     }
 
     /// Interning gives id equality for structurally equal conversions:

@@ -9,7 +9,6 @@
 
 use crate::config::DetailLevel;
 use pda_crypto::digest::Digest;
-use std::collections::HashMap;
 
 /// Cache statistics (reported by experiment E8).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -47,11 +46,15 @@ impl CacheStats {
     }
 }
 
+/// Number of detail levels; the cache's arrays are indexed by
+/// `DetailLevel as usize`.
+const LEVELS: usize = DetailLevel::ALL.len();
+
 /// Evidence cache: detail level → (generation, digest).
 #[derive(Clone, Debug, Default)]
 pub struct EvidenceCache {
-    entries: HashMap<DetailLevel, (u64, Digest)>,
-    generations: HashMap<DetailLevel, u64>,
+    entries: [Option<(u64, Digest)>; LEVELS],
+    generations: [u64; LEVELS],
     /// Statistics.
     pub stats: CacheStats,
 }
@@ -64,7 +67,7 @@ impl EvidenceCache {
 
     /// Current generation of a detail level.
     pub fn generation(&self, level: DetailLevel) -> u64 {
-        self.generations.get(&level).copied().unwrap_or(0)
+        self.generations[level as usize]
     }
 
     /// Invalidate a level (e.g. program reloaded → bump Program; a table
@@ -72,10 +75,10 @@ impl EvidenceCache {
     /// a level also bumps every lower-inertia level: a new program means
     /// new tables and new state.
     pub fn invalidate(&mut self, level: DetailLevel) {
-        for l in DetailLevel::ALL {
-            if l >= level {
-                *self.generations.entry(l).or_insert(0) += 1;
-            }
+        // Discriminants follow `DetailLevel::ALL` (highest inertia
+        // first), so the levels at or below `level` are a suffix.
+        for g in &mut self.generations[level as usize..] {
+            *g += 1;
         }
     }
 
@@ -91,7 +94,8 @@ impl EvidenceCache {
             return measure();
         }
         let gen = self.generation(level);
-        if let Some(&(cached_gen, d)) = self.entries.get(&level) {
+        let entry = &mut self.entries[level as usize];
+        if let Some((cached_gen, d)) = *entry {
             if cached_gen == gen {
                 self.stats.hits += 1;
                 return d;
@@ -99,7 +103,7 @@ impl EvidenceCache {
         }
         self.stats.misses += 1;
         let d = measure();
-        self.entries.insert(level, (gen, d));
+        *entry = Some((gen, d));
         d
     }
 }

@@ -18,6 +18,7 @@ use pda_dataplane::programs;
 use pda_netsim::{ControlRetryPolicy, DeviceKind, EvidenceMode, FaultPlan, LinearPath, LinkFaults};
 use pda_pera::EvidenceRecord;
 use pda_telemetry::json::Json;
+use pda_telemetry::metrics::quantile_sorted;
 use pda_telemetry::Telemetry;
 use std::time::Instant;
 
@@ -112,14 +113,6 @@ pub fn rogue_reload(fleet: &mut LinearPath) {
             }
         }
     }
-}
-
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// Drive `config.epochs` of churn through the service at `client`.
@@ -228,8 +221,8 @@ pub fn run_churn_with(
 
     report.elapsed_ns = run_start.elapsed().as_nanos() as u64;
     latencies.sort_unstable();
-    report.p50_ns = percentile(&latencies, 0.50);
-    report.p99_ns = percentile(&latencies, 0.99);
+    report.p50_ns = quantile_sorted(&latencies, 0.50);
+    report.p99_ns = quantile_sorted(&latencies, 0.99);
     report.mean_ns = if latencies.is_empty() {
         0
     } else {

@@ -168,26 +168,10 @@ pub fn parse_response(text: &str) -> Result<Json, String> {
         .ok_or_else(|| "response has neither result nor error".to_string())
 }
 
-/// Lower-case hex encoding of arbitrary bytes (evidence submission
-/// payloads travel as hex strings inside JSON). Delegates to the
-/// `pda-crypto` LUT encoder: evidence batches route up to ~16 MiB
-/// through here, and the old per-byte `format!("{b:02x}")` paid one
-/// heap allocation per byte (the `hex_encoding` criterion bench pins
-/// the delta).
-pub fn to_hex(bytes: &[u8]) -> String {
-    pda_crypto::hex_encode(bytes)
-}
-
-/// Decode lower/upper-case hex; `None` on odd length or non-hex bytes.
-pub fn from_hex(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
-        return None;
-    }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(s.get(i..i + 2)?, 16).ok())
-        .collect()
-}
+/// The hex codec for evidence submission payloads, which travel as hex
+/// strings inside JSON: `to_hex` is the `pda-crypto` LUT encoder and
+/// `from_hex` its strict inverse (ASCII hex digits only, either case).
+pub use pda_crypto::{hex_decode as from_hex, hex_encode as to_hex};
 
 #[cfg(test)]
 mod tests {
@@ -273,6 +257,8 @@ mod tests {
         assert_eq!(from_hex(&to_hex(&bytes)), Some(bytes));
         assert_eq!(from_hex("abc"), None, "odd length");
         assert_eq!(from_hex("zz"), None, "non-hex");
+        assert_eq!(from_hex("+f"), None, "signed pair");
+        assert_eq!(from_hex("é0"), None, "multi-byte char");
         assert_eq!(from_hex(""), Some(Vec::new()));
     }
 }

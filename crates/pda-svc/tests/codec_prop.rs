@@ -209,12 +209,23 @@ proptest! {
         }
     }
 
-    /// Hex codec: encode∘decode is the identity, and decode never
-    /// panics on arbitrary strings.
+    /// Hex codec: encode∘decode is the identity, decode never panics on
+    /// arbitrary strings, and it accepts exactly the even-length ASCII
+    /// hex strings, re-encoding each to its lower-case form.
     #[test]
     fn hex_round_trip_and_no_panic(bytes in proptest::collection::vec(any::<u8>(), 0..256),
-                                   junk in "[ -~]{0,64}") {
+                                   junk in "[ -~]{0,64}",
+                                   near in "[0-9a-fA-F+g é€]{0,12}",
+                                   digits in "[0-9a-fA-F]{0,16}",
+                                   pair in "[0-9a-f+é]{2}") {
         prop_assert_eq!(from_hex(&to_hex(&bytes)), Some(bytes));
-        let _ = from_hex(&junk);
+        for s in [&junk, &near, &digits, &pair] {
+            let is_hex = s.len().is_multiple_of(2) && s.bytes().all(|b| b.is_ascii_hexdigit());
+            let decoded = from_hex(s);
+            prop_assert_eq!(decoded.is_some(), is_hex, "{:?}", s);
+            if let Some(d) = decoded {
+                prop_assert_eq!(to_hex(&d), s.to_ascii_lowercase());
+            }
+        }
     }
 }

@@ -21,6 +21,23 @@ const SUB_COUNT: usize = 1 << SUB_BITS; // 16
 /// for each of the 60 remaining powers of two up to 2^63.
 pub const BUCKETS: usize = SUB_COUNT + (63 - SUB_BITS as usize) * SUB_COUNT + SUB_COUNT;
 
+/// The 1-based nearest rank of the `q`-quantile (`q` clamped to
+/// `0.0..=1.0`) among `n ≥ 1` samples: `ceil(q·n)`, at least 1, so
+/// q=1.0 → n. The one rank rule behind [`quantile_sorted`] and
+/// [`Histogram::quantile`].
+fn nearest_rank(q: f64, n: usize) -> usize {
+    ((q.clamp(0.0, 1.0) * n as f64).ceil() as usize).max(1)
+}
+
+/// Exact nearest-rank `q`-quantile of an ascending-sorted sample; 0 when
+/// the sample is empty.
+pub fn quantile_sorted(sorted: &[u64], q: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    sorted[nearest_rank(q, sorted.len()) - 1]
+}
+
 /// Map a value to its bucket index.
 pub fn bucket_index(v: u64) -> usize {
     if v < SUB_COUNT as u64 {
@@ -210,9 +227,7 @@ impl Histogram {
         if n == 0 {
             return None;
         }
-        let q = q.clamp(0.0, 1.0);
-        // Rank of the target sample, 1-based; ceil so q=1.0 → n.
-        let rank = ((q * n as f64).ceil() as u64).max(1);
+        let rank = nearest_rank(q, n as usize) as u64;
         let mut seen = 0u64;
         for (i, b) in self.0.buckets.iter().enumerate() {
             seen += b.load(Ordering::Relaxed);
@@ -525,6 +540,27 @@ fn prom_help(help: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn quantile_sorted_uses_nearest_rank() {
+        // n = 4: rank = ceil(4q), at least 1; q is clamped to [0, 1].
+        let s = [10, 20, 30, 40];
+        for (q, want) in [
+            (0.0, 10),
+            (0.25, 10),
+            (0.5, 20),
+            (0.51, 30),
+            (1.0, 40),
+            (7.0, 40),
+        ] {
+            assert_eq!(quantile_sorted(&s, q), want, "q={q}");
+        }
+        // n = 200: p50 is rank 100 and p99 rank 198.
+        let s: Vec<u64> = (1..=200).collect();
+        assert_eq!(quantile_sorted(&s, 0.99), 198);
+        assert_eq!(quantile_sorted(&s, 0.5), 100);
+        assert_eq!(quantile_sorted(&[], 0.5), 0);
+    }
 
     #[test]
     fn bucket_index_is_identity_below_16() {

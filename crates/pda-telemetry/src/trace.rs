@@ -40,6 +40,17 @@ fn fnv(parts: &[&[u8]]) -> u64 {
     h
 }
 
+/// Parse exactly 16 ASCII hex digits (either case). Stricter than
+/// `u64::from_str_radix`, which also accepts a leading `+`.
+fn parse_hex16(s: &str) -> Option<u64> {
+    if s.len() != 16 {
+        return None;
+    }
+    s.bytes().try_fold(0u64, |acc, b| {
+        Some(acc << 4 | u64::from(char::from(b).to_digit(16)?))
+    })
+}
+
 /// A 64-bit trace identifier (one per attestation nonce).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TraceId(pub u64);
@@ -63,10 +74,7 @@ impl TraceId {
 
     /// Parse 16-char hex (as emitted by [`TraceId::to_hex`]).
     pub fn from_hex(s: &str) -> Option<TraceId> {
-        (s.len() == 16)
-            .then(|| u64::from_str_radix(s, 16).ok())
-            .flatten()
-            .map(TraceId)
+        parse_hex16(s).map(TraceId)
     }
 }
 
@@ -142,29 +150,25 @@ impl TraceCtx {
     }
 
     /// Parse a [`traceparent`](Self::traceparent) header. Accepts any
-    /// version byte; takes the low 64 bits of the trace field. The
-    /// parsed span becomes the parent-to-be: callers derive children
-    /// from the returned context. Never panics: the header arrives
-    /// from the network (the JSON-RPC `traceparent` field), so
-    /// arbitrary UTF-8 — including multi-byte characters straddling
-    /// the trace-field split point — must parse to `None`, not crash.
+    /// version byte; both halves of the trace field must be hex, and the
+    /// low 64 bits become the trace ID. The parsed span becomes the
+    /// parent-to-be: callers derive children from the returned context.
+    /// Never panics: the header arrives from the network (the JSON-RPC
+    /// `traceparent` field), so arbitrary UTF-8 — including multi-byte
+    /// characters straddling the trace-field split point — must parse to
+    /// `None`, not crash.
     pub fn parse_traceparent(s: &str) -> Option<TraceCtx> {
-        // A traceparent is ASCII by definition; rejecting non-ASCII up
-        // front also guarantees every byte index below is a char
-        // boundary.
-        if !s.is_ascii() {
-            return None;
-        }
         let mut parts = s.split('-');
         let _version = parts.next()?;
         let trace_hex = parts.next()?;
         let span_hex = parts.next()?;
-        if trace_hex.len() != 32 || span_hex.len() != 16 {
+        if trace_hex.len() != 32 {
             return None;
         }
         // `get` (not slicing): byte 16 may not be a char boundary.
-        let trace = u64::from_str_radix(trace_hex.get(16..)?, 16).ok()?;
-        let span = u64::from_str_radix(span_hex, 16).ok()?;
+        parse_hex16(trace_hex.get(..16)?)?;
+        let trace = parse_hex16(trace_hex.get(16..)?)?;
+        let span = parse_hex16(span_hex)?;
         if trace == 0 {
             return None;
         }
@@ -231,8 +235,15 @@ mod tests {
         assert_eq!(back.span, ctx.span);
         assert!(TraceCtx::parse_traceparent("garbage").is_none());
         assert!(TraceCtx::parse_traceparent("00-zz-yy-01").is_none());
-        let zero = format!("00-{:032x}-{:016x}-01", 0u64, 5u64);
-        assert!(TraceCtx::parse_traceparent(&zero).is_none());
+        // A zero trace, a non-hex high half, and signed fields.
+        for bad in [
+            format!("00-{:032x}-{:016x}-01", 0u64, 5u64),
+            format!("00-{}{:016x}-{:016x}-01", "z".repeat(16), 7u64, 5u64),
+            format!("00-{:016x}+{:015x}-{:016x}-01", 0u64, 7u64, 5u64),
+            format!("00-{:032x}-+{:015x}-01", 7u64, 5u64),
+        ] {
+            assert!(TraceCtx::parse_traceparent(&bad).is_none(), "{bad}");
+        }
     }
 
     #[test]
@@ -255,6 +266,9 @@ mod tests {
         let t = TraceId::for_nonce(5);
         assert_eq!(TraceId::from_hex(&t.to_hex()), Some(t));
         assert_eq!(TraceId::from_hex("short"), None);
+        assert_eq!(TraceId::from_hex(&t.to_hex().to_uppercase()), Some(t));
+        assert_eq!(TraceId::from_hex("+00000000000000a"), None);
+        assert_eq!(TraceId::from_hex("0000000000000é0"), None);
     }
 
     #[test]
