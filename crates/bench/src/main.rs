@@ -88,15 +88,43 @@ fn parse_bench_json(args: &mut Vec<String>) -> Option<String> {
     path
 }
 
-/// The current git revision, or "unknown" outside a checkout.
+/// The current git revision, suffixed `+dirty` when tracked files differ
+/// from it, or "unknown" outside a checkout.
 fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+    };
+    let Some(rev) = git(&["rev-parse", "HEAD"]) else {
+        return "unknown".into();
+    };
+    match git(&["status", "--porcelain", "--untracked-files=no"]) {
+        Some(changes) if !changes.is_empty() => format!("{rev}+dirty"),
+        _ => rev,
+    }
+}
+
+/// The host a baseline was measured on: logical CPUs and CPU model
+/// (`unknown` where `/proc/cpuinfo` has no model name).
+fn host_json() -> Json {
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get() as u64);
+    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
         .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".into())
+        .and_then(|info| {
+            info.lines().find_map(|line| {
+                let (key, value) = line.split_once(':')?;
+                (key.trim() == "model name").then(|| value.trim().to_string())
+            })
+        })
+        .unwrap_or_else(|| "unknown".into());
+    Json::Obj(vec![
+        ("nproc".into(), Json::UInt(nproc)),
+        ("cpu_model".into(), Json::Str(cpu_model)),
+    ])
 }
 
 /// Render the E15 rows as the `BENCH_e15.json` document.
@@ -104,6 +132,7 @@ fn e15_json(rows: &[E15Row]) -> Json {
     Json::Obj(vec![
         ("experiment".into(), Json::Str("e15".into())),
         ("git_rev".into(), Json::Str(git_rev())),
+        ("host".into(), host_json()),
         (
             "rows".into(),
             Json::Arr(
@@ -133,6 +162,7 @@ fn e18_json(rows: &[E18Row], sweep: &[E18SweepRow]) -> Json {
     Json::Obj(vec![
         ("experiment".into(), Json::Str("e18".into())),
         ("git_rev".into(), Json::Str(git_rev())),
+        ("host".into(), host_json()),
         (
             "rows".into(),
             Json::Arr(
@@ -187,6 +217,7 @@ fn e19_json(rows: &[E19Row]) -> Json {
     Json::Obj(vec![
         ("experiment".into(), Json::Str("e19".into())),
         ("git_rev".into(), Json::Str(git_rev())),
+        ("host".into(), host_json()),
         (
             "rows".into(),
             Json::Arr(

@@ -44,6 +44,21 @@
 //! tests in `tests/sym_diff.rs` cross-validate this against the
 //! enumerative [`crate::oracle`].
 //!
+//! # Node storage
+//!
+//! Every interned node is allocated once, behind an [`Rc`] that the id
+//! table and the intern table share. Branch lists, SPP rows and `muts`
+//! are vectors sorted by value and searched by bisection. An operation
+//! reads its operands through a view that holds an `Rc` clone of the
+//! node and hands out borrowed slices; an effective default row is a
+//! `Row` iterator over `muts`, never a materialised map. A memo miss
+//! therefore allocates the vectors of the node it builds (plus a merged
+//! key list), and operands are never copied. The memo and intern tables
+//! hash with an in-crate multiplicative (Fx) hasher instead of SipHash:
+//! their keys are ids and nodes of one arena, built from operator
+//! policies or the table entries of a program under analysis, never from
+//! network input.
+//!
 //! # Star termination
 //!
 //! [`Arena::spp_star`] iterates squaring: `s₀ = 1 ∪ p`,
@@ -58,7 +73,10 @@
 //! [`Arena::publish_telemetry`].
 
 use crate::ast::{Field, Packet, Policy, Pred};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::cmp::Ordering;
+use std::collections::{BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::rc::Rc;
 
 /// A symbolic packet set: an interned index into an [`Arena`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -82,24 +100,144 @@ impl Spp {
     pub const ONE: Spp = Spp(1);
 }
 
-/// Output map of one SPP row: output value → continuation.
-type OutMap = BTreeMap<u64, Spp>;
-/// Tested rows of an SPP node under construction: input value → output map.
-type BranchMap = BTreeMap<u64, OutMap>;
+/// Multiplicative word hasher (the Fx scheme): one rotate, xor and
+/// multiply per word. Memo keys and node contents are small integers, for
+/// which SipHash's per-call setup dominates the lookup.
+#[derive(Default, Clone, Copy)]
+struct FxHasher {
+    hash: u64,
+}
 
-#[derive(Clone, PartialEq, Eq, Hash)]
+impl FxHasher {
+    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u16(&mut self, i: u16) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+
+#[derive(PartialEq, Eq, Hash)]
 struct SpNode {
     field: u16,
     branches: Vec<(u64, Sp)>,
     default: Sp,
 }
 
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(PartialEq, Eq, Hash)]
 struct SppNode {
     field: u16,
     branches: Vec<(u64, Vec<(u64, Spp)>)>,
     muts: Vec<(u64, Spp)>,
     id: Spp,
+}
+
+impl SppNode {
+    /// The output row at input value `v`.
+    fn row(&self, v: u64) -> Row<'_> {
+        match lookup(&self.branches, v) {
+            Some(row) => Row::explicit(row),
+            None => Row::default_at(&self.muts, self.id, v),
+        }
+    }
+}
+
+/// The value stored under `v` in a list sorted by value.
+fn lookup<T>(list: &[(u64, T)], v: u64) -> Option<&T> {
+    list.binary_search_by_key(&v, |(w, _)| *w)
+        .ok()
+        .map(|i| &list[i].1)
+}
+
+/// The sorted, deduplicated union of some values.
+fn merged_keys(keys: impl Iterator<Item = u64>) -> Vec<u64> {
+    let mut keys: Vec<u64> = keys.collect();
+    keys.sort_unstable();
+    keys.dedup();
+    keys
+}
+
+/// One SPP output row, `(output value, continuation)` in ascending
+/// output order: either an explicit branch row, or the effective default
+/// row at input `v` (`muts` minus `v`, plus `v → id` when `id ≠ ZERO`),
+/// produced by merging on the fly.
+#[derive(Clone)]
+struct Row<'a> {
+    rest: &'a [(u64, Spp)],
+    /// The input value whose `muts` entry the untested row hides.
+    skip: Option<u64>,
+    /// The `v → id` entry still to be merged in.
+    pending: Option<(u64, Spp)>,
+}
+
+impl<'a> Row<'a> {
+    fn explicit(row: &'a [(u64, Spp)]) -> Row<'a> {
+        Row {
+            rest: row,
+            skip: None,
+            pending: None,
+        }
+    }
+
+    fn default_at(muts: &'a [(u64, Spp)], id: Spp, v: u64) -> Row<'a> {
+        Row {
+            rest: muts,
+            skip: Some(v),
+            pending: (id != Spp::ZERO).then_some((v, id)),
+        }
+    }
+}
+
+impl Iterator for Row<'_> {
+    type Item = (u64, Spp);
+
+    fn next(&mut self) -> Option<(u64, Spp)> {
+        loop {
+            let head = self.rest.first().copied();
+            if let Some(p) = self.pending {
+                if head.is_none_or(|(w, _)| p.0 <= w) {
+                    self.pending = None;
+                    return Some(p);
+                }
+            }
+            let (w, c) = head?;
+            self.rest = &self.rest[1..];
+            if self.skip != Some(w) {
+                return Some((w, c));
+            }
+        }
+    }
 }
 
 /// The two commutative set operations sharing [`Arena::sp_apply`].
@@ -202,15 +340,47 @@ impl std::fmt::Display for SymError {
 
 impl std::error::Error for SymError {}
 
+/// An SP operand expanded at one field: the node when it tests that
+/// field, otherwise no branches and the operand itself as default.
 struct SpView {
-    branches: BTreeMap<u64, Sp>,
+    node: Option<Rc<SpNode>>,
     default: Sp,
 }
 
+impl SpView {
+    fn branches(&self) -> &[(u64, Sp)] {
+        self.node.as_deref().map_or(&[], |n| &n.branches)
+    }
+
+    /// The child at value `v`.
+    fn at(&self, v: u64) -> Sp {
+        lookup(self.branches(), v).copied().unwrap_or(self.default)
+    }
+}
+
+/// An SPP operand expanded at one field, like [`SpView`]: a leaf or a
+/// deeper node has no branches and no `muts`, and is its own `id`.
 struct SppView {
-    branches: BranchMap,
-    muts: OutMap,
+    node: Option<Rc<SppNode>>,
     id: Spp,
+}
+
+impl SppView {
+    fn branches(&self) -> &[(u64, Vec<(u64, Spp)>)] {
+        self.node.as_deref().map_or(&[], |n| &n.branches)
+    }
+
+    fn muts(&self) -> &[(u64, Spp)] {
+        self.node.as_deref().map_or(&[], |n| &n.muts)
+    }
+
+    /// The output row at input value `v`.
+    fn row(&self, v: u64) -> Row<'_> {
+        match &self.node {
+            Some(n) => n.row(v),
+            None => Row::default_at(&[], self.id, v),
+        }
+    }
 }
 
 /// A hash-consed arena of SP/SPP nodes over `num_fields` packet fields.
@@ -229,11 +399,11 @@ pub struct Arena {
     order: Vec<u16>,
     /// Inverse of `order`: `slot_of[field]` = arena slot of that field.
     slot_of: Vec<u16>,
-    sp_nodes: Vec<SpNode>,
-    sp_intern: HashMap<SpNode, u32>,
-    spp_nodes: Vec<SppNode>,
-    spp_intern: HashMap<SppNode, u32>,
-    memo: HashMap<Memo, u32>,
+    sp_nodes: Vec<Rc<SpNode>>,
+    sp_intern: FxMap<Rc<SpNode>, u32>,
+    spp_nodes: Vec<Rc<SppNode>>,
+    spp_intern: FxMap<Rc<SppNode>, u32>,
+    memo: FxMap<Memo, u32>,
     stats: SymStats,
 }
 
@@ -247,10 +417,10 @@ impl Arena {
             order: identity.clone(),
             slot_of: identity,
             sp_nodes: Vec::new(),
-            sp_intern: HashMap::new(),
+            sp_intern: FxMap::default(),
             spp_nodes: Vec::new(),
-            spp_intern: HashMap::new(),
-            memo: HashMap::new(),
+            spp_intern: FxMap::default(),
+            memo: FxMap::default(),
             stats: SymStats::default(),
         }
     }
@@ -353,7 +523,8 @@ impl Arena {
             return Sp(id);
         }
         let id = u32::try_from(self.sp_nodes.len() + 2).expect("sp arena overflow");
-        self.sp_nodes.push(node.clone());
+        let node = Rc::new(node);
+        self.sp_nodes.push(Rc::clone(&node));
         self.sp_intern.insert(node, id);
         Sp(id)
     }
@@ -363,16 +534,15 @@ impl Arena {
             return Spp(id);
         }
         let id = u32::try_from(self.spp_nodes.len() + 2).expect("spp arena overflow");
-        self.spp_nodes.push(node.clone());
+        let node = Rc::new(node);
+        self.spp_nodes.push(Rc::clone(&node));
         self.spp_intern.insert(node, id);
         Spp(id)
     }
 
-    fn mk_sp(&mut self, field: u16, branches: BTreeMap<u64, Sp>, default: Sp) -> Sp {
-        let branches: Vec<(u64, Sp)> = branches
-            .into_iter()
-            .filter(|&(_, c)| c != default)
-            .collect();
+    /// Intern `⟨field, branches, default⟩`; `branches` is sorted by value.
+    fn mk_sp(&mut self, field: u16, mut branches: Vec<(u64, Sp)>, default: Sp) -> Sp {
+        branches.retain(|&(_, c)| c != default);
         if branches.is_empty() {
             return default;
         }
@@ -383,32 +553,26 @@ impl Arena {
         })
     }
 
-    /// The effective default row of an SPP node at input value `v`.
-    fn eff_default(muts: &OutMap, id: Spp, v: u64) -> OutMap {
-        let mut m = muts.clone();
-        m.remove(&v);
-        if id != Spp::ZERO {
-            m.insert(v, id);
-        }
-        m
-    }
-
-    fn mk_spp(&mut self, field: u16, branches: BranchMap, muts: OutMap, id: Spp) -> Spp {
-        let muts: OutMap = muts.into_iter().filter(|&(_, c)| c != Spp::ZERO).collect();
-        let mut kept: Vec<(u64, Vec<(u64, Spp)>)> = Vec::new();
-        for (v, m) in branches {
-            let m: OutMap = m.into_iter().filter(|&(_, c)| c != Spp::ZERO).collect();
-            if m != Self::eff_default(&muts, id, v) {
-                kept.push((v, m.into_iter().collect()));
-            }
-        }
-        if kept.is_empty() && muts.is_empty() {
+    /// Intern `⟨field, branches, muts, id⟩`; every list is sorted by value.
+    fn mk_spp(
+        &mut self,
+        field: u16,
+        mut branches: Vec<(u64, Vec<(u64, Spp)>)>,
+        mut muts: Vec<(u64, Spp)>,
+        id: Spp,
+    ) -> Spp {
+        muts.retain(|&(_, c)| c != Spp::ZERO);
+        branches.retain_mut(|(v, row)| {
+            row.retain(|&(_, c)| c != Spp::ZERO);
+            !Row::default_at(&muts, id, *v).eq(row.iter().copied())
+        });
+        if branches.is_empty() && muts.is_empty() {
             return id;
         }
         self.intern_spp(SppNode {
             field,
-            branches: kept,
-            muts: muts.into_iter().collect(),
+            branches,
+            muts,
             id,
         })
     }
@@ -417,11 +581,19 @@ impl Arena {
     // Views (uniform expansion at a given field)
     // ------------------------------------------------------------------
 
+    fn sp_node(&self, x: Sp) -> &Rc<SpNode> {
+        &self.sp_nodes[(x.0 - 2) as usize]
+    }
+
+    fn spp_node(&self, x: Spp) -> &Rc<SppNode> {
+        &self.spp_nodes[(x.0 - 2) as usize]
+    }
+
     fn sp_field(&self, x: Sp) -> u16 {
         if x == Sp::EMPTY || x == Sp::FULL {
             u16::MAX
         } else {
-            self.sp_nodes[(x.0 - 2) as usize].field
+            self.sp_node(x).field
         }
     }
 
@@ -429,21 +601,21 @@ impl Arena {
         if x == Spp::ZERO || x == Spp::ONE {
             u16::MAX
         } else {
-            self.spp_nodes[(x.0 - 2) as usize].field
+            self.spp_node(x).field
         }
     }
 
     fn sp_view(&self, x: Sp, field: u16) -> SpView {
         if self.sp_field(x) == field {
-            let n = &self.sp_nodes[(x.0 - 2) as usize];
+            let n = self.sp_node(x);
             SpView {
-                branches: n.branches.iter().copied().collect(),
                 default: n.default,
+                node: Some(Rc::clone(n)),
             }
         } else {
             // Leaf or a node at a deeper field: `field` is unconstrained.
             SpView {
-                branches: BTreeMap::new(),
+                node: None,
                 default: x,
             }
         }
@@ -451,32 +623,14 @@ impl Arena {
 
     fn spp_view(&self, x: Spp, field: u16) -> SppView {
         if self.spp_field(x) == field {
-            let n = &self.spp_nodes[(x.0 - 2) as usize];
+            let n = self.spp_node(x);
             SppView {
-                branches: n
-                    .branches
-                    .iter()
-                    .map(|(v, m)| (*v, m.iter().copied().collect()))
-                    .collect(),
-                muts: n.muts.iter().copied().collect(),
                 id: n.id,
+                node: Some(Rc::clone(n)),
             }
         } else {
             // ZERO: rejects everything. ONE / deeper node: identity here.
-            SppView {
-                branches: BTreeMap::new(),
-                muts: OutMap::new(),
-                id: if x == Spp::ZERO { Spp::ZERO } else { x },
-            }
-        }
-    }
-
-    /// The output map of `view` at input value `v`.
-    fn eff(view: &SppView, v: u64) -> OutMap {
-        if let Some(m) = view.branches.get(&v) {
-            m.clone()
-        } else {
-            Self::eff_default(&view.muts, view.id, v)
+            SppView { node: None, id: x }
         }
     }
 
@@ -509,18 +663,11 @@ impl Arena {
         let f = self.sp_field(a).min(self.sp_field(b));
         let va = self.sp_view(a, f);
         let vb = self.sp_view(b, f);
-        let keys: BTreeSet<u64> = va
-            .branches
-            .keys()
-            .chain(vb.branches.keys())
-            .copied()
-            .collect();
-        let mut branches = BTreeMap::new();
+        let keys = merged_keys(va.branches().iter().chain(vb.branches()).map(|b| b.0));
+        let mut branches = Vec::with_capacity(keys.len());
         for v in keys {
-            let ca = va.branches.get(&v).copied().unwrap_or(va.default);
-            let cb = vb.branches.get(&v).copied().unwrap_or(vb.default);
-            let c = self.sp_apply(op, ca, cb);
-            branches.insert(v, c);
+            let c = self.sp_apply(op, va.at(v), vb.at(v));
+            branches.push((v, c));
         }
         let default = self.sp_apply(op, va.default, vb.default);
         let r = self.mk_sp(f, branches, default);
@@ -542,11 +689,11 @@ impl Arena {
             return Sp(r);
         }
         self.stats.cache_misses += 1;
-        let n = self.sp_nodes[(a.0 - 2) as usize].clone();
-        let mut branches = BTreeMap::new();
-        for (v, c) in n.branches {
+        let n = Rc::clone(self.sp_node(a));
+        let mut branches = Vec::with_capacity(n.branches.len());
+        for &(v, c) in &n.branches {
             let cc = self.sp_complement(c);
-            branches.insert(v, cc);
+            branches.push((v, cc));
         }
         let default = self.sp_complement(n.default);
         let r = self.mk_sp(n.field, branches, default);
@@ -575,14 +722,9 @@ impl Arena {
             if cur == Sp::FULL {
                 return true;
             }
-            let n = &self.sp_nodes[(cur.0 - 2) as usize];
+            let n = self.sp_node(cur);
             let v = vals[n.field as usize];
-            cur = n
-                .branches
-                .iter()
-                .find(|&&(w, _)| w == v)
-                .map(|&(_, c)| c)
-                .unwrap_or(n.default);
+            cur = lookup(&n.branches, v).copied().unwrap_or(n.default);
         }
     }
 
@@ -603,7 +745,7 @@ impl Arena {
         if a == Sp::FULL {
             return true;
         }
-        let n = self.sp_nodes[(a.0 - 2) as usize].clone();
+        let n = self.sp_node(a);
         // Fields between `field` and `n.field` are unconstrained (left 0).
         for &(v, c) in &n.branches {
             out[n.field as usize] = v;
@@ -611,8 +753,7 @@ impl Arena {
                 return true;
             }
         }
-        let taken: BTreeSet<u64> = n.branches.iter().map(|&(v, _)| v).collect();
-        out[n.field as usize] = fresh_value(&taken);
+        out[n.field as usize] = fresh_value(|v| lookup(&n.branches, v).is_some());
         self.sp_witness_into(n.default, out)
     }
 
@@ -620,31 +761,76 @@ impl Arena {
     pub fn sp_singleton(&mut self, vals: &[u64]) -> Sp {
         let mut acc = Sp::FULL;
         for f in (0..vals.len()).rev() {
-            let branches = BTreeMap::from([(vals[f], acc)]);
-            acc = self.mk_sp(f as u16, branches, Sp::EMPTY);
+            acc = self.mk_sp(f as u16, vec![(vals[f], acc)], Sp::EMPTY);
         }
         acc
     }
 
     /// The set of packets `{ p | p[field] = value }`.
     pub fn sp_test(&mut self, field: u16, value: u64) -> Sp {
-        let branches = BTreeMap::from([(value, Sp::FULL)]);
-        self.mk_sp(field, branches, Sp::EMPTY)
+        self.mk_sp(field, vec![(value, Sp::FULL)], Sp::EMPTY)
     }
 
     // ------------------------------------------------------------------
     // SPP operations
     // ------------------------------------------------------------------
 
-    fn out_insert_union(&mut self, m: &mut OutMap, w: u64, c: Spp) {
-        if c == Spp::ZERO {
-            return;
+    /// Merge-join two rows, uniting the continuations of shared outputs.
+    fn union_rows(&mut self, a: Row, b: Row) -> Vec<(u64, Spp)> {
+        let mut out = Vec::new();
+        let (mut a, mut b) = (a.peekable(), b.peekable());
+        loop {
+            let next = match (a.peek().copied(), b.peek().copied()) {
+                (None, None) => return out,
+                (Some(x), None) => {
+                    a.next();
+                    x
+                }
+                (None, Some(y)) => {
+                    b.next();
+                    y
+                }
+                (Some(x), Some(y)) => match x.0.cmp(&y.0) {
+                    Ordering::Less => {
+                        a.next();
+                        x
+                    }
+                    Ordering::Greater => {
+                        b.next();
+                        y
+                    }
+                    Ordering::Equal => {
+                        a.next();
+                        b.next();
+                        (x.0, self.spp_union(x.1, y.1))
+                    }
+                },
+            };
+            out.push(next);
         }
-        let merged = match m.get(&w) {
-            Some(&old) => self.spp_union(old, c),
-            None => c,
-        };
-        m.insert(w, merged);
+    }
+
+    /// Sort `(value, child)` contributions by value and combine the
+    /// children of equal values under `op`, in contribution order.
+    fn fold_by_value<T: Copy>(
+        &mut self,
+        mut list: Vec<(u64, T)>,
+        op: impl Fn(&mut Arena, T, T) -> T,
+    ) -> Vec<(u64, T)> {
+        // Stable, so equal values are combined in the order they arrived.
+        list.sort_by_key(|&(v, _)| v);
+        let mut kept = 0;
+        for i in 0..list.len() {
+            let (v, c) = list[i];
+            if kept > 0 && list[kept - 1].0 == v {
+                list[kept - 1].1 = op(self, list[kept - 1].1, c);
+            } else {
+                list[kept] = (v, c);
+                kept += 1;
+            }
+        }
+        list.truncate(kept);
+        list
     }
 
     /// Transformer union: `a + b`.
@@ -664,30 +850,13 @@ impl Arena {
         let f = self.spp_field(a).min(self.spp_field(b));
         let va = self.spp_view(a, f);
         let vb = self.spp_view(b, f);
-        let tested: BTreeSet<u64> = va
-            .branches
-            .keys()
-            .chain(vb.branches.keys())
-            .copied()
-            .collect();
-        let mut branches = BranchMap::new();
-        for &v in &tested {
-            let ma = Self::eff(&va, v);
-            let mb = Self::eff(&vb, v);
-            let mut out = ma;
-            for (w, c) in mb {
-                self.out_insert_union(&mut out, w, c);
-            }
-            branches.insert(v, out);
+        let tested = merged_keys(va.branches().iter().chain(vb.branches()).map(|b| b.0));
+        let mut branches = Vec::with_capacity(tested.len());
+        for v in tested {
+            let row = self.union_rows(va.row(v), vb.row(v));
+            branches.push((v, row));
         }
-        let wkeys: BTreeSet<u64> = va.muts.keys().chain(vb.muts.keys()).copied().collect();
-        let mut muts = OutMap::new();
-        for w in wkeys {
-            let ca = va.muts.get(&w).copied().unwrap_or(Spp::ZERO);
-            let cb = vb.muts.get(&w).copied().unwrap_or(Spp::ZERO);
-            let c = self.spp_union(ca, cb);
-            muts.insert(w, c);
-        }
+        let muts = self.union_rows(Row::explicit(va.muts()), Row::explicit(vb.muts()));
         let id = self.spp_union(va.id, vb.id);
         let r = self.mk_spp(f, branches, muts, id);
         self.memo.insert(key, r.0);
@@ -717,44 +886,50 @@ impl Arena {
 
         // Behaviour on a *generic* untested input value v: a's muts lead
         // into b at known constants; a's id leads into b's untested row.
-        let mut gen_muts = OutMap::new();
-        let a_muts: Vec<(u64, Spp)> = va.muts.iter().map(|(&w, &c)| (w, c)).collect();
-        for (w, ca) in a_muts {
-            for (z, cb) in Self::eff(&vb, w) {
+        let mut gen_muts = Vec::new();
+        for &(w, ca) in va.muts() {
+            for (z, cb) in vb.row(w) {
                 let c = self.spp_seq(ca, cb);
-                self.out_insert_union(&mut gen_muts, z, c);
+                if c != Spp::ZERO {
+                    gen_muts.push((z, c));
+                }
             }
         }
-        let b_muts: Vec<(u64, Spp)> = vb.muts.iter().map(|(&z, &c)| (z, c)).collect();
-        for (z, cb) in b_muts {
+        for &(z, cb) in vb.muts() {
             let c = self.spp_seq(va.id, cb);
-            self.out_insert_union(&mut gen_muts, z, c);
+            if c != Spp::ZERO {
+                gen_muts.push((z, c));
+            }
         }
+        let gen_muts = self.fold_by_value(gen_muts, Arena::spp_union);
         let gen_id = self.spp_seq(va.id, vb.id);
 
         // Inputs whose behaviour can differ from the generic row: values
         // tested or mutated by either side, plus any value the generic row
         // itself outputs (for those, "output = input" is reachable through
         // a mut chain, which the untested row cannot express).
-        let tested: BTreeSet<u64> = va
-            .branches
-            .keys()
-            .chain(va.muts.keys())
-            .chain(vb.branches.keys())
-            .chain(vb.muts.keys())
-            .chain(gen_muts.keys())
-            .copied()
-            .collect();
-        let mut branches = BranchMap::new();
-        for &v in &tested {
-            let mut out = OutMap::new();
-            for (w, ca) in Self::eff(&va, v) {
-                for (z, cb) in Self::eff(&vb, w) {
+        let tested = merged_keys(
+            va.branches()
+                .iter()
+                .map(|b| b.0)
+                .chain(va.muts().iter().map(|m| m.0))
+                .chain(vb.branches().iter().map(|b| b.0))
+                .chain(vb.muts().iter().map(|m| m.0))
+                .chain(gen_muts.iter().map(|m| m.0)),
+        );
+        let mut branches = Vec::with_capacity(tested.len());
+        for v in tested {
+            let mut out = Vec::new();
+            for (w, ca) in va.row(v) {
+                for (z, cb) in vb.row(w) {
                     let c = self.spp_seq(ca, cb);
-                    self.out_insert_union(&mut out, z, c);
+                    if c != Spp::ZERO {
+                        out.push((z, c));
+                    }
                 }
             }
-            branches.insert(v, out);
+            let out = self.fold_by_value(out, Arena::spp_union);
+            branches.push((v, out));
         }
         let r = self.mk_spp(f, branches, gen_muts, gen_id);
         self.memo.insert(key, r.0);
@@ -808,22 +983,22 @@ impl Arena {
             return Spp(r);
         }
         self.stats.cache_misses += 1;
-        let n = self.sp_nodes[(a.0 - 2) as usize].clone();
-        let mut branches = BranchMap::new();
-        for (v, c) in n.branches {
+        let n = Rc::clone(self.sp_node(a));
+        let mut branches = Vec::with_capacity(n.branches.len());
+        for &(v, c) in &n.branches {
             let t = self.spp_test(c);
-            branches.insert(v, OutMap::from([(v, t)]));
+            branches.push((v, vec![(v, t)]));
         }
         let id = self.spp_test(n.default);
-        let r = self.mk_spp(n.field, branches, OutMap::new(), id);
+        let r = self.mk_spp(n.field, branches, Vec::new(), id);
         self.memo.insert(key, r.0);
         r
     }
 
     /// The transformer `field := value` (identity on the other fields).
     pub fn spp_assign(&mut self, field: u16, value: u64) -> Spp {
-        let branches = BranchMap::from([(value, OutMap::from([(value, Spp::ONE)]))]);
-        let muts = OutMap::from([(value, Spp::ONE)]);
+        let branches = vec![(value, vec![(value, Spp::ONE)])];
+        let muts = vec![(value, Spp::ONE)];
         self.mk_spp(field, branches, muts, Spp::ZERO)
     }
 
@@ -848,46 +1023,40 @@ impl Arena {
         let f = self.sp_field(s).min(self.spp_field(t));
         let vs = self.sp_view(s, f);
         let vt = self.spp_view(t, f);
-        let tested_in: BTreeSet<u64> = vs
-            .branches
-            .keys()
-            .chain(vt.branches.keys())
-            .copied()
-            .collect();
-        // Output buckets. Every tested *input* value is also pinned as an
-        // output bucket: its id-contribution was handled exactly, so the
-        // generic default (which includes the id image) must not apply.
-        let mut buckets: BTreeMap<u64, Sp> = tested_in.iter().map(|&w| (w, Sp::EMPTY)).collect();
+        let tested_in = merged_keys(
+            vs.branches()
+                .iter()
+                .map(|b| b.0)
+                .chain(vt.branches().iter().map(|b| b.0)),
+        );
+        // Output buckets, as contributions united below. Every tested
+        // *input* value is also pinned as an output bucket: its
+        // id-contribution was handled exactly, so the generic default
+        // (which includes the id image) must not apply.
+        let mut buckets: Vec<(u64, Sp)> = tested_in.iter().map(|&w| (w, Sp::EMPTY)).collect();
         for &v in &tested_in {
-            let sv = vs.branches.get(&v).copied().unwrap_or(vs.default);
+            let sv = vs.at(v);
             if sv == Sp::EMPTY {
                 continue;
             }
-            for (w, c) in Self::eff(&vt, v) {
+            for (w, c) in vt.row(v) {
                 let img = self.push(sv, c);
-                let cur = buckets.get(&w).copied().unwrap_or(Sp::EMPTY);
-                let merged = self.sp_union(cur, img);
-                buckets.insert(w, merged);
+                buckets.push((w, img));
             }
         }
-        let t_muts: Vec<(u64, Spp)> = vt.muts.iter().map(|(&w, &c)| (w, c)).collect();
-        for (w, c) in t_muts {
+        for &(w, c) in vt.muts() {
             // Valid for any untested input v ≠ w; such inputs always exist.
             let img = self.push(vs.default, c);
-            let cur = buckets.get(&w).copied().unwrap_or(Sp::EMPTY);
-            let merged = self.sp_union(cur, img);
-            buckets.insert(w, merged);
+            buckets.push((w, img));
         }
         let default = self.push(vs.default, vt.id);
+        let mut buckets = self.fold_by_value(buckets, Arena::sp_union);
         // Buckets at values that are *not* tested inputs additionally
         // receive the generic id image (an untested input equal to that
         // output value maps onto it through id).
-        let bucket_keys: Vec<u64> = buckets.keys().copied().collect();
-        for w in bucket_keys {
-            if !tested_in.contains(&w) {
-                let cur = buckets[&w];
-                let merged = self.sp_union(cur, default);
-                buckets.insert(w, merged);
+        for (w, img) in &mut buckets {
+            if tested_in.binary_search(&*w).is_err() {
+                *img = self.sp_union(*img, default);
             }
         }
         let r = self.mk_sp(f, buckets, default);
@@ -912,28 +1081,25 @@ impl Arena {
         let f = self.sp_field(s).min(self.spp_field(t));
         let vs = self.sp_view(s, f);
         let vt = self.spp_view(t, f);
-        let tested: BTreeSet<u64> = vt
-            .branches
-            .keys()
-            .chain(vt.muts.keys())
-            .chain(vs.branches.keys())
-            .copied()
-            .collect();
-        let mut branches = BTreeMap::new();
-        for &v in &tested {
+        let tested = merged_keys(
+            vt.branches()
+                .iter()
+                .map(|b| b.0)
+                .chain(vt.muts().iter().map(|m| m.0))
+                .chain(vs.branches().iter().map(|b| b.0)),
+        );
+        let mut branches = Vec::with_capacity(tested.len());
+        for v in tested {
             let mut acc = Sp::EMPTY;
-            for (w, c) in Self::eff(&vt, v) {
-                let sw = vs.branches.get(&w).copied().unwrap_or(vs.default);
-                let p = self.pre(c, sw);
+            for (w, c) in vt.row(v) {
+                let p = self.pre(c, vs.at(w));
                 acc = self.sp_union(acc, p);
             }
-            branches.insert(v, acc);
+            branches.push((v, acc));
         }
         let mut default = self.pre(vt.id, vs.default);
-        let t_muts: Vec<(u64, Spp)> = vt.muts.iter().map(|(&w, &c)| (w, c)).collect();
-        for (w, c) in t_muts {
-            let sw = vs.branches.get(&w).copied().unwrap_or(vs.default);
-            let p = self.pre(c, sw);
+        for &(w, c) in vt.muts() {
+            let p = self.pre(c, vs.at(w));
             default = self.sp_union(default, p);
         }
         let r = self.mk_sp(f, branches, default);
@@ -971,21 +1137,12 @@ impl Arena {
             out.insert(v);
             return;
         }
-        let n = &self.spp_nodes[(t.0 - 2) as usize];
+        let n = self.spp_node(t);
         // Fields field..n.field are identity (skipped).
-        let skip_start = field as usize;
-        let skipped: Vec<u64> = input[skip_start..n.field as usize].to_vec();
-        let v = input[n.field as usize];
-        let row: OutMap = match n.branches.iter().find(|&&(bv, _)| bv == v) {
-            Some((_, m)) => m.iter().copied().collect(),
-            None => {
-                let muts: OutMap = n.muts.iter().copied().collect();
-                Self::eff_default(&muts, n.id, v)
-            }
-        };
-        for (w, c) in row {
+        let skipped = &input[field as usize..n.field as usize];
+        for (w, c) in n.row(input[n.field as usize]) {
             let mut p = prefix.to_vec();
-            p.extend_from_slice(&skipped);
+            p.extend_from_slice(skipped);
             p.push(w);
             self.spp_eval_into(c, input, n.field + 1, &p, out);
         }
@@ -1022,37 +1179,31 @@ impl Arena {
         }
         let va = self.spp_view(a, f);
         let vb = self.spp_view(b, f);
-        let mut candidates: BTreeSet<u64> = va
-            .branches
-            .keys()
-            .chain(va.muts.keys())
-            .chain(vb.branches.keys())
-            .chain(vb.muts.keys())
-            .copied()
-            .collect();
-        candidates.insert(fresh_value(&candidates));
+        let mut candidates = merged_keys(
+            va.branches()
+                .iter()
+                .map(|b| b.0)
+                .chain(va.muts().iter().map(|m| m.0))
+                .chain(vb.branches().iter().map(|b| b.0))
+                .chain(vb.muts().iter().map(|m| m.0)),
+        );
+        let fresh = fresh_value(|v| candidates.binary_search(&v).is_ok());
+        candidates.insert(candidates.partition_point(|&v| v < fresh), fresh);
         for v in candidates {
-            let ma = Self::eff(&va, v);
-            let mb = Self::eff(&vb, v);
+            let ma: Vec<(u64, Spp)> = va.row(v).collect();
+            let mb: Vec<(u64, Spp)> = vb.row(v).collect();
             // An output value present on one side only is immediately a
             // difference: drive the extra row to any producing input.
-            for (w, c) in &ma {
-                if !mb.contains_key(w) {
+            for (mx, my) in [(&ma, &mb), (&mb, &ma)] {
+                if let Some(&(_, c)) = mx.iter().find(|(w, _)| lookup(my, *w).is_none()) {
                     out[f as usize] = v;
-                    self.some_input_into(*c, out);
+                    self.some_input_into(c, out);
                     return true;
                 }
             }
-            for (w, c) in &mb {
-                if !ma.contains_key(w) {
-                    out[f as usize] = v;
-                    self.some_input_into(*c, out);
-                    return true;
-                }
-            }
-            for (w, ca) in &ma {
-                let cb = mb[w];
-                if *ca != cb && self.distinguish_into(*ca, cb, out) {
+            for &(w, ca) in &ma {
+                let cb = *lookup(&mb, w).expect("rows share their outputs");
+                if ca != cb && self.distinguish_into(ca, cb, out) {
                     out[f as usize] = v;
                     return true;
                 }
@@ -1067,7 +1218,7 @@ impl Arena {
         if t == Spp::ZERO || t == Spp::ONE {
             return; // ZERO unreachable for cleaned children; ONE: any input.
         }
-        let n = &self.spp_nodes[(t.0 - 2) as usize];
+        let n = self.spp_node(t);
         for (v, m) in &n.branches {
             if let Some(&(_, c)) = m.first() {
                 out[n.field as usize] = *v;
@@ -1075,15 +1226,13 @@ impl Arena {
                 return;
             }
         }
-        let tested: BTreeSet<u64> = n.branches.iter().map(|&(v, _)| v).collect();
+        let tested = |v| lookup(&n.branches, v).is_some();
         if let Some(&(w, c)) = n.muts.first() {
-            let mut avoid = tested;
-            avoid.insert(w);
-            out[n.field as usize] = fresh_value(&avoid);
+            out[n.field as usize] = fresh_value(|v| v == w || tested(v));
             self.some_input_into(c, out);
             return;
         }
-        out[n.field as usize] = fresh_value(&tested);
+        out[n.field as usize] = fresh_value(tested);
         self.some_input_into(n.id, out);
     }
 
@@ -1267,7 +1416,6 @@ impl Arena {
             if !n.muts.windows(2).all(|w| w[0].0 < w[1].0) {
                 return Err(format!("spp {id:?}: muts not strictly sorted"));
             }
-            let muts: OutMap = n.muts.iter().copied().collect();
             for &(w, c) in &n.muts {
                 if c == Spp::ZERO {
                     return Err(format!("spp {id:?}: ZERO mut at {w}"));
@@ -1291,8 +1439,7 @@ impl Arena {
                         return Err(format!("spp {id:?}: ({v},{w}) violates field order"));
                     }
                 }
-                let row: OutMap = m.iter().copied().collect();
-                if row == Self::eff_default(&muts, n.id, *v) {
+                if Row::default_at(&n.muts, n.id, *v).eq(m.iter().copied()) {
                     return Err(format!("spp {id:?}: branch {v} equals effective default"));
                 }
             }
@@ -1304,9 +1451,9 @@ impl Arena {
     }
 }
 
-/// The smallest value not in `taken`.
-fn fresh_value(taken: &BTreeSet<u64>) -> u64 {
-    (0u64..).find(|v| !taken.contains(v)).expect("u64 space")
+/// The smallest value that is not `taken`.
+fn fresh_value(taken: impl Fn(u64) -> bool) -> u64 {
+    (0u64..).find(|&v| !taken(v)).expect("u64 space")
 }
 
 #[cfg(test)]
@@ -1500,5 +1647,78 @@ mod tests {
         let _ = ar.pre(t, img);
         ar.check_invariants().unwrap();
         assert!(ar.stats().cache_misses > 0);
+    }
+
+    /// The spine-leaf fabric with leaf `leaf`'s down-rule sent out of
+    /// `port` (the shape of a broken admission candidate).
+    fn fabric_misrouted(n: u32, leaf: u32, port: u32) -> Policy {
+        let up = f(Pred::test(Field::Switch, 0).not())
+            .seq(Policy::assign(Field::Port, 1))
+            .seq(Policy::assign(Field::Switch, 0));
+        let rules = (1..=n).map(|j| {
+            f(Pred::test(Field::Dst, j))
+                .seq(Policy::assign(Field::Switch, j))
+                .seq(Policy::assign(
+                    Field::Port,
+                    if j == leaf { port } else { 2 },
+                ))
+        });
+        up.union(f(Pred::test(Field::Switch, 0)).seq(Policy::any(rules)))
+    }
+
+    /// Node counts and memo traffic of fabric conversions are pinned: a
+    /// kernel change that interns different nodes, or computes more, fails
+    /// here even when every verdict still holds.
+    #[test]
+    fn fabric_conversions_are_canonical_and_pinned() {
+        use crate::corpus::{fabric_step, fabric_step_broken, fabric_step_redundant};
+        // (leaves, policy, SP nodes, SPP nodes, memo misses, memo hits)
+        let mut cases = Vec::new();
+        for (n, sizes) in [
+            (
+                16,
+                [(18, 153, 135, 17), (18, 154, 135, 17), (19, 153, 137, 19)],
+            ),
+            (
+                64,
+                [(66, 585, 519, 65), (66, 586, 519, 65), (67, 585, 521, 67)],
+            ),
+            (
+                256,
+                [
+                    (258, 2313, 2055, 257),
+                    (258, 2314, 2055, 257),
+                    (259, 2313, 2057, 259),
+                ],
+            ),
+        ] {
+            let policies = [
+                ("step", fabric_step(n)),
+                ("broken", fabric_step_broken(n)),
+                ("redundant", fabric_step_redundant(n)),
+            ];
+            for ((name, p), counts) in policies.into_iter().zip(sizes) {
+                cases.push((n, name, p, counts));
+            }
+            // The broken candidate shares the broken fabric's counts.
+            cases.push((n, "misrouted", fabric_misrouted(n, n / 2, 5), sizes[1]));
+        }
+        for (n, name, p, (sp, spp, misses, hits)) in cases {
+            let mut ar = Arena::for_policies(&[&p]);
+            ar.spp_from_policy(&p).unwrap();
+            ar.check_invariants()
+                .unwrap_or_else(|e| panic!("{name}({n}): {e}"));
+            let s = ar.stats();
+            assert_eq!(
+                (
+                    ar.sp_node_count(),
+                    ar.spp_node_count(),
+                    s.cache_misses,
+                    s.cache_hits
+                ),
+                (sp, spp, misses, hits),
+                "{name}({n}): (sp nodes, spp nodes, memo misses, memo hits)"
+            );
+        }
     }
 }

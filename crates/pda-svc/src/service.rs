@@ -17,7 +17,7 @@
 use crate::federation::{Appraiser, Federation, Quorum, QuorumVerdict};
 use crate::fleet::{enroll_fleet_golden, fleet_registry, standard_fleet};
 use crate::http::{HttpRequest, HttpResponse};
-use crate::rpc::{err_response, from_hex, ok_response_traced, RpcRequest};
+use crate::rpc::{err_response, from_hex, ok_response_traced, RpcError, RpcRequest};
 use crate::runtime::Handler;
 use pda_crypto::nonce::Nonce;
 use pda_pera::config::DetailLevel;
@@ -390,7 +390,15 @@ impl Handler for AppraisalService {
                 };
                 match RpcRequest::parse(text) {
                     Ok(rpc) => HttpResponse::json(200, self.dispatch(&rpc)),
-                    Err(e) => HttpResponse::json(400, err_response(0, -32600, &e.to_string())),
+                    Err(e) => {
+                        // JSON-RPC 2.0: text that is not JSON is a parse
+                        // error; JSON that is not a request is invalid.
+                        let code = match e {
+                            RpcError::BadJson(_) => -32700,
+                            _ => -32600,
+                        };
+                        HttpResponse::json(400, err_response(0, code, &e.to_string()))
+                    }
                 }
             }
             ("GET", "/metrics") => match self.telemetry.registry() {
@@ -509,6 +517,33 @@ mod tests {
             Json::Obj(vec![("nonce".to_string(), Json::UInt(6))]),
         );
         assert!(crate::rpc::parse_response(&svc.dispatch(&missing)).is_err());
+    }
+
+    #[test]
+    fn unparseable_bodies_get_parse_errors() {
+        let svc = AppraisalService::new(SvcConfig::default(), Telemetry::collecting());
+        let post = |body: &[u8]| {
+            let resp = svc.handle(&HttpRequest {
+                method: "POST".into(),
+                path: "/rpc".into(),
+                headers: Vec::new(),
+                body: body.to_vec(),
+            });
+            assert_eq!(resp.status, 400);
+            let reply = pda_telemetry::json::parse(std::str::from_utf8(&resp.body).unwrap())
+                .expect("error reply is JSON");
+            reply.get("error").and_then(|e| e.get("code")).cloned()
+        };
+        let parse_error = Some(Json::Num(-32700.0));
+        // A megabyte of `[` is rejected at the nesting bound, not by a
+        // stack overflow.
+        assert_eq!(post(&vec![b'['; 1 << 20]), parse_error);
+        assert_eq!(post(br#""\u+041""#), parse_error);
+        assert_eq!(
+            post(b"[1]"),
+            Some(Json::Num(-32600.0)),
+            "JSON, not a request"
+        );
     }
 
     #[test]

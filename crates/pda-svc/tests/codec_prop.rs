@@ -8,7 +8,7 @@
 
 use pda_svc::http::{parse_request, parse_response_bytes, HttpParse, RequestBuffer};
 use pda_svc::rpc::{from_hex, to_hex, RpcRequest};
-use pda_telemetry::json::Json;
+use pda_telemetry::json::{parse as parse_json, Json, MAX_DEPTH};
 use proptest::prelude::*;
 
 /// Frame a well-formed request with the given body.
@@ -153,6 +153,44 @@ proptest! {
     #[test]
     fn rpc_parser_never_panics(text in "[ -~\\r\\n\\t]{0,512}") {
         let _ = RpcRequest::parse(&text);
+    }
+
+    /// Nesting is bounded instead of overflowing the stack: a document
+    /// of `depth` nested arrays or objects parses exactly when `depth` is
+    /// within `MAX_DEPTH` (one level less as a request's `params`), and an
+    /// unclosed run of openers up to a megabyte long is a parse error.
+    #[test]
+    fn rpc_parser_bounds_nesting(depth in 1usize..=2 * MAX_DEPTH,
+                                 flood in 0usize..1_000_000,
+                                 object in any::<bool>()) {
+        let (open, close) = if object { ("{\"k\":", "}") } else { ("[", "]") };
+        let doc = format!("{}0{}", open.repeat(depth), close.repeat(depth));
+        prop_assert_eq!(parse_json(&doc).is_ok(), depth <= MAX_DEPTH);
+        let body = format!(r#"{{"jsonrpc":"2.0","id":1,"method":"health","params":{doc}}}"#);
+        prop_assert_eq!(RpcRequest::parse(&body).is_ok(), depth < MAX_DEPTH);
+        prop_assert!(RpcRequest::parse(&open.repeat(flood)).is_err());
+    }
+
+    /// `\uXXXX` takes exactly four ASCII hex digits: an escape parses
+    /// exactly when its four characters are hex digits naming a
+    /// non-surrogate code point, and then decodes to that character.
+    #[test]
+    fn unicode_escape_digits_are_strict(digits in "[0-9a-fA-F+é -]{4}",
+                                        lead in "[+é 0-9a-f-]",
+                                        rest in "[0-9a-fA-F]{3}") {
+        for digits in [digits, format!("{lead}{rest}")] {
+            let parsed = parse_json(&format!("\"\\u{digits}\""));
+            let expect = digits
+                .bytes()
+                .all(|b| b.is_ascii_hexdigit())
+                .then(|| u32::from_str_radix(&digits, 16).ok())
+                .flatten()
+                .and_then(char::from_u32);
+            match expect {
+                Some(c) => prop_assert_eq!(parsed, Ok(Json::Str(c.to_string()))),
+                None => prop_assert!(parsed.is_err(), "{:?} must not parse", digits),
+            }
+        }
     }
 
     /// Well-formed requests round-trip byte-identically:

@@ -171,12 +171,19 @@ impl fmt::Display for ParseErr {
 
 impl std::error::Error for ParseErr {}
 
+/// The deepest nesting of arrays and objects [`parse`] accepts. The
+/// parser recurses once per level, so without a bound one request body of
+/// brackets would overflow the thread's stack; no document this workspace
+/// exchanges comes near it.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse one JSON value; trailing whitespace is allowed, trailing
-/// content is an error.
+/// content is an error, and so is nesting deeper than [`MAX_DEPTH`].
 pub fn parse(src: &str) -> Result<Json, ParseErr> {
     let mut p = Parser {
         bytes: src.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -190,6 +197,8 @@ pub fn parse(src: &str) -> Result<Json, ParseErr> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -234,12 +243,23 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parse one array or object, one level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, ParseErr>) -> Result<Json, ParseErr> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, ParseErr> {
@@ -368,16 +388,18 @@ impl Parser<'_> {
         }
     }
 
-    /// Four hex digits; advances past them.
+    /// Exactly four ASCII hex digits (either case); advances past them.
+    /// No sign and no multi-byte character counts as a digit.
     fn hex4(&mut self) -> Result<u32, ParseErr> {
-        let end = self.pos + 4;
-        if end > self.bytes.len() {
-            return Err(self.err("truncated \\u escape"));
-        }
-        let s = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.err("bad \\u escape"))?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| self.err("bad \\u escape"))?;
-        self.pos = end;
+        let digits = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        let v = digits
+            .iter()
+            .try_fold(0u32, |acc, &b| Some(acc << 4 | char::from(b).to_digit(16)?))
+            .ok_or_else(|| self.err("bad \\u escape"))?;
+        self.pos += 4;
         Ok(v)
     }
 
@@ -489,6 +511,46 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad:?} must not parse");
         }
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_ascii_hex_digits() {
+        assert_eq!(parse(r#""\u0041\u00e9""#).unwrap(), Json::Str("Aé".into()));
+        assert_eq!(parse(r#""\u00E9""#).unwrap(), Json::Str("é".into()));
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u004g""#,
+            r#""\u00é""#,
+            r#""\u041""#,
+            r#""\ud83e\u+d80""#,
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must not parse");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |open: &str, close: &str, depth: usize| {
+            format!("{}0{}", open.repeat(depth), close.repeat(depth))
+        };
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            assert!(parse(&nest(open, close, MAX_DEPTH)).is_ok());
+            let err = parse(&nest(open, close, MAX_DEPTH + 1)).unwrap_err();
+            assert_eq!(err.msg, "nesting too deep");
+        }
+    }
+
+    #[test]
+    fn million_deep_bodies_are_rejected_without_overflow() {
+        for open in ["[", "{\"k\":"] {
+            let err = parse(&open.repeat(1_000_000)).unwrap_err();
+            assert_eq!(err.msg, "nesting too deep", "{open}");
+            assert_eq!(err.pos, MAX_DEPTH * open.len());
+        }
+        // A bare `{` run fails at the first missing key, before depth.
+        assert!(parse(&"{".repeat(1_000_000)).is_err());
     }
 
     #[test]
