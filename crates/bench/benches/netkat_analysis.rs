@@ -1,5 +1,11 @@
 //! NetKAT analysis costs: reachability, witness paths, equivalence.
+//!
+//! The queries share a per-thread compiled workspace, so each is timed
+//! twice: `_cold` on a fresh thread (the policy is converted first, and
+//! one thread spawn is included), `_repeat` again on the bench thread,
+//! where the policy is compiled already.
 
+use bench::cold;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pda_netkat::ast::{Field, Packet, Policy, Pred};
 use pda_netkat::equiv::equivalent;
@@ -17,11 +23,19 @@ fn bench_reach(c: &mut Criterion) {
         let step = line(n);
         let init = BTreeSet::from([Packet::of(&[(Field::Switch, 1)])]);
         let goal = Pred::test(Field::Switch, n);
-        g.bench_with_input(BenchmarkId::new("can_reach", n), &(), |b, ()| {
-            b.iter(|| black_box(can_reach(&step, &init, &goal)))
+        let reach = || black_box(can_reach(&step, &init, &goal));
+        let witness = || black_box(witness_path(&step, &init, &goal).is_some());
+        g.bench_with_input(BenchmarkId::new("can_reach_cold", n), &(), |b, ()| {
+            b.iter(|| cold(reach))
         });
-        g.bench_with_input(BenchmarkId::new("witness", n), &(), |b, ()| {
-            b.iter(|| black_box(witness_path(&step, &init, &goal).is_some()))
+        g.bench_with_input(BenchmarkId::new("can_reach_repeat", n), &(), |b, ()| {
+            b.iter(reach)
+        });
+        g.bench_with_input(BenchmarkId::new("witness_cold", n), &(), |b, ()| {
+            b.iter(|| cold(witness))
+        });
+        g.bench_with_input(BenchmarkId::new("witness_repeat", n), &(), |b, ()| {
+            b.iter(witness)
         });
     }
     g.finish();
@@ -30,7 +44,10 @@ fn bench_reach(c: &mut Criterion) {
 fn bench_equiv(c: &mut Criterion) {
     let p = line(6);
     let q = line(6).union(Policy::drop());
-    c.bench_function("netkat_equivalence_line6", |b| {
+    c.bench_function("netkat_equivalence_line6_cold", |b| {
+        b.iter(|| black_box(cold(|| equivalent(&p, &q))))
+    });
+    c.bench_function("netkat_equivalence_line6_repeat", |b| {
         b.iter(|| black_box(equivalent(&p, &q)))
     });
 }

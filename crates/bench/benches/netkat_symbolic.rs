@@ -6,12 +6,17 @@
 //! the symbolic engine runs at every size — the thousand-switch case is
 //! the acceptance bar for the decision procedure.
 //!
-//! The `sym_compile` and `sym_reach` rows time the symbolic kernel alone
-//! at 64 / 256 / 1024 leaves: policy-to-transformer conversion, and a
-//! leaf-to-leaf reachability query with its witness path. Every row of
-//! the symbolic engine matches the filter `sym_`:
+//! The `sym_compile` and `sym_reach_*` rows time the symbolic kernel
+//! alone at 64 / 256 / 1024 leaves: policy-to-transformer conversion,
+//! and a leaf-to-leaf reachability query with its witness path. The
+//! queries share a per-thread compiled workspace, so each comes in two
+//! rows: `_cold` runs it on a fresh thread (conversion included, plus
+//! one thread spawn), `_repeat` repeats it on the bench thread, where
+//! the policies are compiled already. Every row of the symbolic engine
+//! matches the filter `sym_`:
 //! `cargo bench -p bench --bench netkat_symbolic -- sym_`.
 
+use bench::cold;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pda_netkat::corpus::{fabric_step, fabric_step_redundant};
 use pda_netkat::sym::Arena;
@@ -27,7 +32,10 @@ fn bench_fabric_equiv(c: &mut Criterion) {
     for n in [4u32, 64, 1024] {
         let p = fabric_step(n);
         let q = fabric_step_redundant(n);
-        g.bench_with_input(BenchmarkId::new("sym_equiv", n), &(), |b, ()| {
+        g.bench_with_input(BenchmarkId::new("sym_equiv_cold", n), &(), |b, ()| {
+            b.iter(|| black_box(cold(|| equivalent(&p, &q))))
+        });
+        g.bench_with_input(BenchmarkId::new("sym_equiv_repeat", n), &(), |b, ()| {
             b.iter(|| black_box(equivalent(&p, &q)))
         });
         if n <= ENUM_FEASIBLE {
@@ -52,11 +60,15 @@ fn bench_kernel(c: &mut Criterion) {
         // From the first leaf to the last: up to the spine and down.
         let init = BTreeSet::from([Packet::of(&[(Field::Switch, 1), (Field::Dst, n)])]);
         let goal = Pred::test(Field::Switch, n);
-        g.bench_with_input(BenchmarkId::new("sym_reach", n), &(), |b, ()| {
-            b.iter(|| {
-                black_box(can_reach(&p, &init, &goal));
-                black_box(witness_path(&p, &init, &goal))
-            })
+        let query = || {
+            black_box(can_reach(&p, &init, &goal));
+            black_box(witness_path(&p, &init, &goal))
+        };
+        g.bench_with_input(BenchmarkId::new("sym_reach_cold", n), &(), |b, ()| {
+            b.iter(|| cold(query))
+        });
+        g.bench_with_input(BenchmarkId::new("sym_reach_repeat", n), &(), |b, ()| {
+            b.iter(query)
         });
     }
     g.finish();

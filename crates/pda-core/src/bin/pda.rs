@@ -505,6 +505,9 @@ fn cmd_netkat_reach(args: &[String]) -> Result<(), String> {
         return Err("netkat reach wants one step policy".into());
     };
     let step = pda_netkat::parse_policy(step).map_err(|e| e.to_string())?;
+    if step.has_dup() {
+        return Err("reachability works on the dup-free fragment".into());
+    }
     let from = parse_packet_spec(
         flag_value(args, "--from").ok_or("netkat reach wants --from 'sw=..,pt=..'")?,
     )?;

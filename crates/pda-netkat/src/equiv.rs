@@ -1,9 +1,10 @@
 //! Equivalence checking for dup-free NetKAT policies.
 //!
 //! Both policies are converted to canonical hash-consed transformers in
-//! one [`sym::Arena`]; equivalence is then id equality and
-//! counterexamples fall out of the first structural difference
-//! ([`sym::Arena::distinguishing_input`]). Scales to thousand-switch
+//! one [`sym::Arena`], the thread's compiled workspace (a policy already
+//! compiled there is not converted again); equivalence is then id
+//! equality and counterexamples fall out of the first structural
+//! difference ([`sym::Arena::distinguishing_input`]). Scales to thousand-switch
 //! fabrics (experiment E19). The enumerative finite-model procedure in
 //! [`crate::oracle`] is the independent reference the tests below and
 //! `tests/sym_diff.rs` compare against.
@@ -25,15 +26,11 @@ pub fn counterexample(p: &Policy, q: &Policy) -> Option<Packet> {
         !p.has_dup() && !q.has_dup(),
         "equivalence checking is implemented for the dup-free fragment"
     );
-    let mut ar = sym::Arena::for_policies(&[p, q]);
-    let a = ar
-        .spp_from_policy(p)
-        .expect("dup-free policy converts to a transformer");
-    let b = ar
-        .spp_from_policy(q)
-        .expect("dup-free policy converts to a transformer");
-    let witness = ar.distinguishing_input(a, b)?;
-    let pkt = ar.packet_of_values(&witness);
+    let pkt = sym::with_compiled(&[p, q], |ar, ts| {
+        ar.distinguishing_input(ts[0], ts[1])
+            .map(|w| ar.packet_of_values(&w))
+    })
+    .expect("dup-free policy converts to a transformer")?;
     debug_assert_ne!(
         eval_set(p, &BTreeSet::from([pkt])),
         eval_set(q, &BTreeSet::from([pkt])),

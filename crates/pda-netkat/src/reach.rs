@@ -12,69 +12,68 @@
 //!   realize `∗⇒`, used to resolve abstract places (`∀hop`) to the actual
 //!   switches along a forwarding path.
 //!
-//! Both queries run on the symbolic engine: the step policy is
-//! converted once to a canonical transformer ([`Arena`]) and the
-//! star fixpoint runs on symbolic packet-*set* frontiers (image under
-//! [`Arena::push`] per layer), so a thousand-switch fabric converges
-//! in topology-diameter many pushes instead of per-packet enumeration.
-//! Witness paths walk the BFS layers backwards through the preimage
-//! operator ([`Arena::pre`]). The concrete-packet reference
-//! procedures live in [`crate::oracle`].
+//! Both queries run on the symbolic engine: the step policy is compiled
+//! to a canonical transformer in the thread's compiled workspace
+//! ([`crate::sym`], *Workspace*), so repeated queries against one step
+//! policy convert it once, and the star fixpoint runs on symbolic
+//! packet-*set* frontiers (image under [`Arena::push`] per layer), so a
+//! thousand-switch fabric converges in topology-diameter many pushes
+//! instead of per-packet enumeration. Witness paths walk the BFS layers
+//! backwards through the preimage operator ([`Arena::pre`]). The
+//! concrete-packet reference procedures live in [`crate::oracle`].
 
 use crate::ast::{Field, Packet, Policy, Pred};
-use crate::sym::{Arena, Sp, Spp};
+use crate::sym::{self, Arena, Sp, Spp};
 use std::collections::BTreeSet;
 
-/// A finished layered BFS of `step*` in `ar`, with `t` the step
-/// transformer. `layers[i]` holds the packets first reached at distance
-/// `i`; `hit` is the goal packets of the last layer, `None` when the
-/// fixpoint closed without meeting the goal.
-struct Search {
-    ar: Arena,
-    t: Spp,
-    layers: Vec<Sp>,
-    hit: Option<Sp>,
-}
-
-/// The BFS both queries share: push the frontier through `step` one
-/// layer at a time until a layer meets `goal` or no new packet appears.
-fn search(step: &Policy, init: &BTreeSet<Packet>, goal: &Pred) -> Search {
+/// The layered BFS both queries share: push the frontier through the
+/// step policy one layer at a time until a layer meets `goal` or no new
+/// packet appears, then hand `answer` the arena, the step transformer
+/// `t`, the layers (`layers[i]` holds the packets first reached at
+/// distance `i`) and the goal packets of the last layer (`None` when
+/// the fixpoint closed without meeting the goal).
+fn search<R>(
+    step: &Policy,
+    init: &BTreeSet<Packet>,
+    goal: &Pred,
+    answer: impl FnOnce(&mut Arena, Spp, &[Sp], Option<Sp>) -> R,
+) -> R {
     assert!(
         !step.has_dup(),
         "reachability is implemented for dup-free step policies"
     );
-    let mut ar = Arena::for_policies(&[step]);
-    let t = ar
-        .spp_from_policy(step)
-        .expect("dup-free policy converts to a transformer");
-    let goal_sp = ar.sp_from_pred(goal);
-    let mut acc = Sp::EMPTY;
-    for pkt in init {
-        let vals = ar.values_of_packet(pkt);
-        let s = ar.sp_singleton(&vals);
-        acc = ar.sp_union(acc, s);
-    }
-    let mut layers = vec![acc];
-    let hit = loop {
-        let frontier = *layers.last().expect("non-empty");
-        let hit = ar.sp_intersect(frontier, goal_sp);
-        if !ar.sp_is_empty(hit) {
-            break Some(hit);
+    sym::with_compiled(&[step], |ar, ts| {
+        let t = ts[0];
+        let goal_sp = ar.sp_from_pred(goal);
+        let mut acc = Sp::EMPTY;
+        for pkt in init {
+            let vals = ar.values_of_packet(pkt);
+            let s = ar.sp_singleton(&vals);
+            acc = ar.sp_union(acc, s);
         }
-        let next = ar.push(frontier, t);
-        let new = ar.sp_diff(next, acc);
-        if ar.sp_is_empty(new) {
-            break None;
-        }
-        acc = ar.sp_union(acc, new);
-        layers.push(new);
-    };
-    Search { ar, t, layers, hit }
+        let mut layers = vec![acc];
+        let hit = loop {
+            let frontier = *layers.last().expect("non-empty");
+            let hit = ar.sp_intersect(frontier, goal_sp);
+            if !ar.sp_is_empty(hit) {
+                break Some(hit);
+            }
+            let next = ar.push(frontier, t);
+            let new = ar.sp_diff(next, acc);
+            if ar.sp_is_empty(new) {
+                break None;
+            }
+            acc = ar.sp_union(acc, new);
+            layers.push(new);
+        };
+        answer(ar, t, &layers, hit)
+    })
+    .expect("dup-free policy converts to a transformer")
 }
 
 /// Does some packet in `init` eventually satisfy `goal` under `step*`?
 pub fn can_reach(step: &Policy, init: &BTreeSet<Packet>, goal: &Pred) -> bool {
-    search(step, init, goal).hit.is_some()
+    search(step, init, goal, |_, _, _, hit| hit.is_some())
 }
 
 /// Shortest witness trace: a sequence of packets `π₀ … πₖ` with
@@ -83,25 +82,21 @@ pub fn can_reach(step: &Policy, init: &BTreeSet<Packet>, goal: &Pred) -> bool {
 /// hit layer and predecessors are recovered backwards through the
 /// preimage operator.
 pub fn witness_path(step: &Policy, init: &BTreeSet<Packet>, goal: &Pred) -> Option<Vec<Packet>> {
-    let Search {
-        mut ar,
-        t,
-        layers,
-        hit,
-    } = search(step, init, goal);
-    let mut cur = ar.sp_witness(hit?).expect("non-empty hit layer");
-    let mut path = vec![ar.packet_of_values(&cur)];
-    for &layer in layers.iter().rev().skip(1) {
-        let cur_sp = ar.sp_singleton(&cur);
-        let prev = ar.pre(t, cur_sp);
-        let cand = ar.sp_intersect(prev, layer);
-        cur = ar
-            .sp_witness(cand)
-            .expect("every BFS layer packet has a predecessor in the prior layer");
-        path.push(ar.packet_of_values(&cur));
-    }
-    path.reverse();
-    Some(path)
+    search(step, init, goal, |ar, t, layers, hit| {
+        let mut cur = ar.sp_witness(hit?).expect("non-empty hit layer");
+        let mut path = vec![ar.packet_of_values(&cur)];
+        for &layer in layers.iter().rev().skip(1) {
+            let cur_sp = ar.sp_singleton(&cur);
+            let prev = ar.pre(t, cur_sp);
+            let cand = ar.sp_intersect(prev, layer);
+            cur = ar
+                .sp_witness(cand)
+                .expect("every BFS layer packet has a predecessor in the prior layer");
+            path.push(ar.packet_of_values(&cur));
+        }
+        path.reverse();
+        Some(path)
+    })
 }
 
 /// The switch ids visited along a witness path (deduplicated consecutive

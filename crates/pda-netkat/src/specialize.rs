@@ -13,10 +13,13 @@
 //! verifies it, [`verified_slice_for_switch`] refuses to return an
 //! unverified slice, and [`slice_is_dead`] detects switches whose slice
 //! drops every packet (unreachable slices — surfaced as PDA5xx analyzer
-//! diagnostics when a compiled program carries dead rules).
+//! diagnostics when a compiled program carries dead rules). Both checks
+//! run in the thread's compiled workspace ([`crate::sym`], *Workspace*):
+//! the `f = v` guard is composed with the compiled network there, so a
+//! network already compiled by an earlier query is not converted again.
 
 use crate::ast::{Field, Policy, Pred};
-use crate::sym::{Arena, Spp};
+use crate::sym::{self, Arena, Spp};
 
 /// Specialize a predicate under the assumption `f = v`. Returns the
 /// simplified predicate.
@@ -126,14 +129,26 @@ pub fn slice_for_switch(p: &Policy, sw: u32) -> Policy {
     specialize(p, Field::Switch, sw)
 }
 
+/// `filter f=v ; t`, built in `ar`.
+fn guarded_in(ar: &mut Arena, f: Field, v: u32, t: Spp) -> Spp {
+    let g = ar.sp_from_pred(&Pred::test(f, v));
+    let g = ar.spp_test(g);
+    ar.spp_seq(g, t)
+}
+
 /// Symbolically verify the slice soundness property:
 /// `filter f=v ; network ≡ filter f=v ; slice`. Dup-free only.
 pub fn slice_equivalent(network: &Policy, slice: &Policy, f: Field, v: u32) -> bool {
-    let guard = Policy::filter(Pred::test(f, v));
-    crate::equiv::equivalent(
-        &guard.clone().seq(network.clone()),
-        &guard.seq(slice.clone()),
-    )
+    assert!(
+        !network.has_dup() && !slice.has_dup(),
+        "slice verification is implemented for the dup-free fragment"
+    );
+    sym::with_compiled(&[network, slice], |ar, ts| {
+        let a = guarded_in(ar, f, v, ts[0]);
+        let b = guarded_in(ar, f, v, ts[1]);
+        a == b
+    })
+    .expect("dup-free policy converts to a transformer")
 }
 
 /// [`slice_for_switch`] with the soundness property discharged by the
@@ -153,12 +168,10 @@ pub fn verified_slice_for_switch(p: &Policy, sw: u32) -> Policy {
 /// drop every packet? Dead slices indicate unreachable switches in the
 /// network encoding (nothing the policy does at `sw` is observable).
 pub fn slice_is_dead(p: &Policy, sw: u32) -> bool {
-    let guarded = Policy::filter(Pred::test(Field::Switch, sw)).seq(p.clone());
-    let mut ar = Arena::for_policies(&[&guarded]);
-    match ar.spp_from_policy(&guarded) {
-        Ok(t) => t == Spp::ZERO,
-        Err(_) => false, // dup: cannot decide symbolically; assume live
-    }
+    sym::with_compiled(&[p], |ar, ts| {
+        guarded_in(ar, Field::Switch, sw, ts[0]) == Spp::ZERO
+    })
+    .unwrap_or(false) // dup: cannot decide symbolically; assume live
 }
 
 #[cfg(test)]

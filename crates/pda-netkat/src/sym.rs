@@ -71,8 +71,36 @@
 //! returns an error instead of looping if the budget is ever exceeded;
 //! iteration counts also feed the `netkat.sym.*` telemetry family via
 //! [`Arena::publish_telemetry`].
+//!
+//! # Workspace
+//!
+//! The crate's queries (equivalence, reachability, slicing) do not build
+//! an arena per call. Each thread keeps one compiled *workspace*: at most
+//! one arena plus the policies compiled into it with their transformers,
+//! so an operator asking many questions of one candidate policy compiles
+//! it once (KATch's amortised reuse of hash-consed nodes). A request
+//! reuses the arena only when
+//!
+//! * its variable order (the one [`Arena::for_policies`] would pick for
+//!   the request's policies) equals the arena's, so every answer is
+//!   bit-identical to a fresh arena's: canonical structures depend on
+//!   the order, never on which other nodes share the arena; and
+//! * at least one of its policies is already compiled there, matched by
+//!   structural equality: an exact preorder token encoding of the
+//!   policy, never a pointer or a hash alone.
+//!
+//! Missing policies are compiled into the reused arena. Otherwise the
+//! old arena is dropped *before* the new one is built, so at most one
+//! is alive per thread. Queries add nodes (frontiers, preimages, guarded
+//! slices); once the arena holds more than `WORKSPACE_GROWTH` (2) times
+//! the nodes it held after the request that built it (that request's
+//! own query included, so a query larger than its policy is still
+//! reused), it is dropped, which bounds memory under an endless stream
+//! of queries against one policy. A fresh thread starts with an empty
+//! workspace, which is how the benches time cold queries.
 
 use crate::ast::{Field, Packet, Policy, Pred};
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -449,25 +477,11 @@ impl Arena {
     /// turns thousand-switch fabric dispatch from quadratic-size nodes
     /// into linear ones (experiment E19).
     pub fn for_policies(ps: &[&Policy]) -> Arena {
-        let mut assigned: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); Field::ALL.len()];
-        fn walk(p: &Policy, assigned: &mut [BTreeSet<u32>]) {
-            match p {
-                Policy::Mod(f, v) => {
-                    assigned[f.index()].insert(*v);
-                }
-                Policy::Union(l, r) | Policy::Seq(l, r) => {
-                    walk(l, assigned);
-                    walk(r, assigned);
-                }
-                Policy::Star(x) => walk(x, assigned),
-                Policy::Filter(_) | Policy::Dup => {}
-            }
-        }
-        for p in ps {
-            walk(p, &mut assigned);
-        }
-        let mut order: Vec<u16> = (0..Field::ALL.len() as u16).collect();
-        order.sort_by_key(|&f| (assigned[f as usize].len(), f));
+        Arena::with_order(order_for(ps))
+    }
+
+    /// A NetKAT arena whose slot `i` stores field `order[i]`.
+    fn with_order(order: Vec<u16>) -> Arena {
         let mut ar = Arena::for_netkat();
         for (slot, &f) in order.iter().enumerate() {
             ar.slot_of[f as usize] = slot as u16;
@@ -494,6 +508,11 @@ impl Arena {
     /// Interned SPP node count (excluding the two leaves).
     pub fn spp_node_count(&self) -> usize {
         self.spp_nodes.len()
+    }
+
+    /// Interned SP and SPP nodes together.
+    fn node_count(&self) -> usize {
+        self.sp_nodes.len() + self.spp_nodes.len()
     }
 
     /// Publish arena statistics as the `netkat.sym.*` metric family.
@@ -1456,6 +1475,187 @@ fn fresh_value(taken: impl Fn(u64) -> bool) -> u64 {
     (0u64..).find(|&v| !taken(v)).expect("u64 space")
 }
 
+/// The variable order [`Arena::for_policies`] picks for `ps`: fields by
+/// ascending assignment fan-out, ties by declaration order.
+fn order_for(ps: &[&Policy]) -> Vec<u16> {
+    let mut assigned: Vec<Vec<u32>> = vec![Vec::new(); Field::ALL.len()];
+    fn walk(p: &Policy, assigned: &mut [Vec<u32>]) {
+        match p {
+            Policy::Mod(f, v) => assigned[f.index()].push(*v),
+            Policy::Union(l, r) | Policy::Seq(l, r) => {
+                walk(l, assigned);
+                walk(r, assigned);
+            }
+            Policy::Star(x) => walk(x, assigned),
+            Policy::Filter(_) | Policy::Dup => {}
+        }
+    }
+    for p in ps {
+        walk(p, &mut assigned);
+    }
+    for values in &mut assigned {
+        values.sort_unstable();
+        values.dedup();
+    }
+    let mut order: Vec<u16> = (0..Field::ALL.len() as u16).collect();
+    order.sort_by_key(|&f| (assigned[f as usize].len(), f));
+    order
+}
+
+// ----------------------------------------------------------------------
+// Workspace
+// ----------------------------------------------------------------------
+
+/// The preorder byte encoding of `p`: one tag byte per node (its kind,
+/// and its field where it has one), then the little-endian value of a
+/// test or a modification. Arities are fixed, so two policies are equal
+/// exactly when their encodings are.
+fn encode(p: &Policy) -> Vec<u8> {
+    fn tagged(kind: u8, f: Field, v: u32, out: &mut Vec<u8>) {
+        out.push(kind | (f.index() as u8) << 3);
+        out.extend(v.to_le_bytes());
+    }
+    fn pred(a: &Pred, out: &mut Vec<u8>) {
+        match a {
+            Pred::True => out.push(0),
+            Pred::False => out.push(1),
+            Pred::Test(f, v) => tagged(2, *f, *v, out),
+            Pred::And(l, r) | Pred::Or(l, r) => {
+                out.push(if matches!(a, Pred::And(..)) { 3 } else { 4 });
+                pred(l, out);
+                pred(r, out);
+            }
+            Pred::Not(x) => {
+                out.push(5);
+                pred(x, out);
+            }
+        }
+    }
+    fn policy(p: &Policy, out: &mut Vec<u8>) {
+        match p {
+            Policy::Filter(a) => {
+                out.push(0);
+                pred(a, out);
+            }
+            Policy::Mod(f, v) => tagged(1, *f, *v, out),
+            Policy::Union(l, r) | Policy::Seq(l, r) => {
+                out.push(if matches!(p, Policy::Union(..)) { 2 } else { 3 });
+                policy(l, out);
+                policy(r, out);
+            }
+            Policy::Star(x) => {
+                out.push(4);
+                policy(x, out);
+            }
+            Policy::Dup => out.push(5),
+        }
+    }
+    let mut out = Vec::new();
+    policy(p, &mut out);
+    out
+}
+
+/// Once the workspace arena holds more than this many times the nodes
+/// it held after the request that built it, it is dropped and rebuilt
+/// by the next request.
+const WORKSPACE_GROWTH: usize = 2;
+
+/// One thread's compiled workspace: at most one arena, the policies
+/// compiled into it with their transformers, and its node count after
+/// the request that built it.
+#[derive(Default)]
+struct Workspace {
+    arena: Option<Arena>,
+    /// Each compiled policy as its [`encode`]d syntax tree.
+    compiled: Vec<(Vec<u8>, Spp)>,
+    built_nodes: usize,
+}
+
+impl Workspace {
+    /// The transformer compiled for the policy encoded as `key`.
+    fn lookup(&self, key: &[u8]) -> Option<Spp> {
+        self.compiled
+            .iter()
+            .find(|(k, _)| k.as_slice() == key)
+            .map(|&(_, t)| t)
+    }
+
+    /// The transformers of `ps` (encoded as `keys`) in `ar`, compiling
+    /// those not yet there.
+    fn compile(
+        &mut self,
+        ar: &mut Arena,
+        ps: &[&Policy],
+        keys: Vec<Vec<u8>>,
+    ) -> Result<Vec<Spp>, SymError> {
+        ps.iter()
+            .zip(keys)
+            .map(|(&p, mut key)| match self.lookup(&key) {
+                Some(t) => Ok(t),
+                None => {
+                    let t = ar.spp_from_policy(p)?;
+                    key.shrink_to_fit();
+                    self.compiled.push((key, t));
+                    Ok(t)
+                }
+            })
+            .collect()
+    }
+}
+
+thread_local! {
+    static WORKSPACE: RefCell<Workspace> = RefCell::new(Workspace::default());
+}
+
+/// Run `f` on the transformers of `ps`, compiled in this thread's
+/// workspace arena (see the module docs, *Workspace*). The arena is
+/// reused when its variable order is the one [`Arena::for_policies`]
+/// picks for `ps` and it already holds one of `ps`; otherwise it is
+/// dropped and rebuilt. `f` must not call back into this function.
+pub(crate) fn with_compiled<R>(
+    ps: &[&Policy],
+    f: impl FnOnce(&mut Arena, &[Spp]) -> R,
+) -> Result<R, SymError> {
+    WORKSPACE.with_borrow_mut(|ws| {
+        let order = order_for(ps);
+        let keys: Vec<Vec<u8>> = ps.iter().map(|p| encode(p)).collect();
+        let reuse = ws.arena.as_ref().is_some_and(|ar| ar.order == order)
+            && keys.iter().any(|k| ws.lookup(k).is_some());
+        if !reuse {
+            // Dropped before the new arena is built: at most one is alive.
+            ws.arena = None;
+            ws.compiled.clear();
+        }
+        // Taken out for the call, so that an error or a panic leaves no
+        // half-extended arena behind.
+        let mut ar = ws.arena.take().unwrap_or_else(|| Arena::with_order(order));
+        let ts = ws
+            .compile(&mut ar, ps, keys)
+            .inspect_err(|_| ws.compiled.clear())?;
+        let r = f(&mut ar, &ts);
+        if !reuse {
+            ws.built_nodes = ar.node_count();
+        }
+        if ar.node_count() <= WORKSPACE_GROWTH * ws.built_nodes {
+            ws.arena = Some(ar);
+        } else {
+            ws.compiled.clear();
+        }
+        Ok(r)
+    })
+}
+
+/// The workspace arena's node count, its count after the request that
+/// built it, and how many policies are compiled into it; `None` while the
+/// thread has no arena.
+#[cfg(test)]
+fn workspace_state() -> Option<(usize, usize, usize)> {
+    WORKSPACE.with_borrow(|ws| {
+        let ar = ws.arena.as_ref()?;
+        Some((ar.node_count(), ws.built_nodes, ws.compiled.len()))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1720,5 +1920,107 @@ mod tests {
                 "{name}({n}): (sp nodes, spp nodes, memo misses, memo hits)"
             );
         }
+    }
+
+    /// Policy encodings are equal exactly when the policies are: node
+    /// kinds, fields and values each show in the bytes.
+    #[test]
+    fn encodings_separate_distinct_policies() {
+        let t = |fl, v| f(Pred::test(fl, v));
+        let a = Policy::assign(Field::Port, 1);
+        let b = t(Field::Switch, 1);
+        let policies = [
+            a.clone().seq(b.clone()),
+            a.clone().union(b.clone()),
+            b.clone().seq(a.clone()),
+            a.clone().star().seq(b.clone()),
+            Policy::assign(Field::Port, 256).seq(b.clone()),
+            Policy::assign(Field::Switch, 1).seq(b),
+            a.clone().seq(t(Field::Port, 1)),
+            a.clone().seq(f(Pred::test(Field::Switch, 1).not())),
+            a.clone()
+                .seq(f(Pred::test(Field::Switch, 1).and(Pred::True))),
+            a.clone()
+                .seq(f(Pred::test(Field::Switch, 1).or(Pred::True))),
+            a.clone().seq(Policy::Dup),
+            a.seq(Policy::drop()),
+        ];
+        for (i, p) in policies.iter().enumerate() {
+            for (j, q) in policies.iter().enumerate() {
+                assert_eq!(encode(p) == encode(q), i == j, "{p} vs {q}");
+            }
+            assert_eq!(encode(p), encode(&p.clone()));
+        }
+    }
+
+    /// Requests reuse the workspace arena on a hit (compiling what is
+    /// missing) and rebuild it when the variable order differs or none
+    /// of their policies is compiled there.
+    #[test]
+    fn workspace_reuses_hits_and_rebuilds_otherwise() {
+        use crate::corpus::{fabric_step, fabric_step_broken};
+        use crate::{can_reach, counterexample, slice_is_dead};
+        let step = fabric_step(16);
+        let broken = fabric_step_broken(16);
+        let init = BTreeSet::from([Packet::of(&[(Field::Switch, 1), (Field::Dst, 9)])]);
+        let goal = Pred::test(Field::Switch, 9);
+        assert!(counterexample(&step, &broken).is_some());
+        let (_, built, compiled) = workspace_state().expect("an arena");
+        assert_eq!(compiled, 2);
+        // A hit: no recompilation, the query's nodes are added.
+        assert!(can_reach(&step, &init, &goal));
+        let (nodes, again, compiled) = workspace_state().expect("an arena");
+        assert_eq!((again, compiled), (built, 2));
+        assert!(nodes > built);
+        // A partial hit compiles the missing policy into the same arena.
+        let slice = crate::slice_for_switch(&step, 3);
+        assert!(crate::slice_equivalent(&step, &slice, Field::Switch, 3));
+        assert_eq!(workspace_state().map(|s| (s.1, s.2)), Some((built, 3)));
+        // Same order, nothing compiled there: rebuilt.
+        let redundant = crate::corpus::fabric_step_redundant(16);
+        assert_eq!(order_for(&[&redundant]), order_for(&[&step, &broken]));
+        assert!(!slice_is_dead(&redundant, 3));
+        assert_eq!(workspace_state().map(|s| s.2), Some(1));
+        // Another variable order: rebuilt, even though `step` is there.
+        let tags = Policy::any((1..=20).map(|v| Policy::assign(Field::Tag, v)));
+        assert!(can_reach(&step.clone().union(tags), &init, &goal));
+        assert_eq!(workspace_state().map(|s| s.2), Some(1));
+        // `dup` is refused and leaves no arena behind.
+        assert!(!slice_is_dead(&Policy::Dup, 3));
+        assert_eq!(workspace_state(), None);
+    }
+
+    /// Endless distinct queries against one policy keep the workspace
+    /// within its growth bound: it is dropped and rebuilt instead.
+    #[test]
+    fn workspace_stays_within_its_growth_bound() {
+        use crate::can_reach;
+        use crate::corpus::fabric_step;
+        let step = fabric_step(64);
+        let (mut rebuilds, mut grown) = (0, 0);
+        for i in 0..10_000u32 {
+            let (sw, dst, src) = (1 + i % 64, 1 + (i / 64) % 80, i / (64 * 80));
+            let init = BTreeSet::from([Packet::of(&[
+                (Field::Switch, sw),
+                (Field::Dst, dst),
+                (Field::Src, src),
+            ])]);
+            let reachable = can_reach(&step, &init, &Pred::test(Field::Switch, dst));
+            assert_eq!(reachable, dst <= 64, "query {i}");
+            match workspace_state() {
+                Some((nodes, built, _)) => {
+                    assert!(
+                        nodes <= WORKSPACE_GROWTH * built,
+                        "query {i}: {nodes} > {built}"
+                    );
+                    grown += usize::from(nodes > built);
+                }
+                None => rebuilds += 1,
+            }
+        }
+        assert!(
+            rebuilds > 0 && grown > 0,
+            "rebuilds {rebuilds}, grown {grown}"
+        );
     }
 }

@@ -3,12 +3,14 @@
 //! agree on equivalence verdicts, counterexample witnesses must actually
 //! distinguish the policies under `eval_packet`, reachability must
 //! coincide, and the arena's structural invariants must hold after every
-//! workload.
+//! workload. The queries share a per-thread compiled workspace; their
+//! answers must equal a fresh arena's for every call.
 
 use pda_netkat::ast::{Field, Packet, Policy, Pred};
 use pda_netkat::semantics::eval_packet;
-use pda_netkat::sym::Arena;
+use pda_netkat::sym::{Arena, Sp, Spp};
 use pda_netkat::{can_reach, counterexample, equivalent, oracle, witness_path};
+use pda_netkat::{slice_equivalent, slice_for_switch, slice_is_dead};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -64,8 +66,177 @@ fn pkt() -> impl Strategy<Value = Packet> {
     })
 }
 
+/// The queries answered in a fresh [`Arena::for_policies`] per call, as
+/// they were before the compiled workspace: the reference the shared
+/// workspace must match exactly.
+mod fresh {
+    use super::*;
+
+    fn compiled(ps: &[&Policy]) -> (Arena, Vec<Spp>) {
+        let mut ar = Arena::for_policies(ps);
+        let ts = ps
+            .iter()
+            .map(|p| ar.spp_from_policy(p).expect("dup-free"))
+            .collect();
+        (ar, ts)
+    }
+
+    pub(super) fn counterexample(p: &Policy, q: &Policy) -> Option<Packet> {
+        let (ar, ts) = compiled(&[p, q]);
+        ar.distinguishing_input(ts[0], ts[1])
+            .map(|w| ar.packet_of_values(&w))
+    }
+
+    pub(super) fn witness_path(
+        step: &Policy,
+        init: &BTreeSet<Packet>,
+        goal: &Pred,
+    ) -> Option<Vec<Packet>> {
+        let (mut ar, ts) = compiled(&[step]);
+        let t = ts[0];
+        let goal = ar.sp_from_pred(goal);
+        let mut acc = Sp::EMPTY;
+        for pkt in init {
+            let s = ar.sp_singleton(&ar.values_of_packet(pkt));
+            acc = ar.sp_union(acc, s);
+        }
+        let mut layers = vec![acc];
+        let hit = loop {
+            let frontier = *layers.last().expect("non-empty");
+            let hit = ar.sp_intersect(frontier, goal);
+            if hit != Sp::EMPTY {
+                break hit;
+            }
+            let next = ar.push(frontier, t);
+            let new = ar.sp_diff(next, acc);
+            if new == Sp::EMPTY {
+                return None;
+            }
+            acc = ar.sp_union(acc, new);
+            layers.push(new);
+        };
+        let mut cur = ar.sp_witness(hit).expect("non-empty");
+        let mut path = vec![ar.packet_of_values(&cur)];
+        for &layer in layers.iter().rev().skip(1) {
+            let s = ar.sp_singleton(&cur);
+            let prev = ar.pre(t, s);
+            let cand = ar.sp_intersect(prev, layer);
+            cur = ar.sp_witness(cand).expect("a predecessor");
+            path.push(ar.packet_of_values(&cur));
+        }
+        path.reverse();
+        Some(path)
+    }
+
+    fn guarded(p: &Policy, sw: u32) -> Policy {
+        Policy::filter(Pred::test(Field::Switch, sw)).seq(p.clone())
+    }
+
+    pub(super) fn slice_equivalent(network: &Policy, slice: &Policy, sw: u32) -> bool {
+        counterexample(&guarded(network, sw), &guarded(slice, sw)).is_none()
+    }
+
+    pub(super) fn slice_is_dead(p: &Policy, sw: u32) -> bool {
+        compiled(&[&guarded(p, sw)]).1[0] == Spp::ZERO
+    }
+}
+
+/// Size of the policy pool the interleavings draw from.
+const POOL: usize = 7;
+
+/// A pool of policies sharing structure: two random bases and variants
+/// of the first. The variants keep its assignments (so its variable
+/// order), and the last two differ only in one constant, so that equal
+/// sizes never imply equal policies.
+fn pool() -> impl Strategy<Value = Vec<Policy>> {
+    (policy(), policy(), pred()).prop_map(|(p, q, a)| {
+        let at = |sw| Policy::filter(Pred::test(Field::Switch, sw));
+        vec![
+            p.clone(),
+            q.clone(),
+            p.clone().seq(Policy::filter(a.clone())),
+            Policy::filter(a).seq(p.clone()),
+            q.union(p.clone()),
+            p.clone().seq(at(0)),
+            p.seq(at(1)),
+        ]
+    })
+}
+
+/// One query of an interleaving over the pool.
+#[derive(Clone, Debug)]
+enum Query {
+    Counterexample(usize, usize),
+    CanReach(usize, Packet, Pred),
+    Witness(usize, Packet, Pred),
+    /// Network, policy sliced for the switch, switch.
+    SliceEquivalent(usize, usize, u32),
+    SliceIsDead(usize, u32),
+}
+
+fn query() -> impl Strategy<Value = Query> {
+    ((0u8..5, 0..POOL, 0..POOL), pkt(), pred(), 0u32..3).prop_map(|((kind, i, j), x, g, sw)| {
+        match kind {
+            0 => Query::Counterexample(i, j),
+            1 => Query::CanReach(i, x, g),
+            2 => Query::Witness(i, x, g),
+            3 => Query::SliceEquivalent(i, j, sw),
+            _ => Query::SliceIsDead(i, sw),
+        }
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Random interleavings of every workspace query over a shared pool,
+    /// so that hits, partial hits and rebuilds all occur: each answer
+    /// (the counterexample packet and the witness path themselves, not
+    /// just their existence or length) equals a fresh arena's.
+    #[test]
+    fn workspace_answers_match_fresh_arenas(
+        pool in pool(),
+        queries in proptest::collection::vec(query(), 8..32),
+    ) {
+        for q in &queries {
+            match q {
+                Query::Counterexample(i, j) => prop_assert_eq!(
+                    counterexample(&pool[*i], &pool[*j]),
+                    fresh::counterexample(&pool[*i], &pool[*j]),
+                    "{:?} on {} / {}", q, pool[*i], pool[*j]
+                ),
+                Query::CanReach(i, x, g) => {
+                    let init = BTreeSet::from([*x]);
+                    prop_assert_eq!(
+                        can_reach(&pool[*i], &init, g),
+                        fresh::witness_path(&pool[*i], &init, g).is_some(),
+                        "{:?} on {}", q, pool[*i]
+                    );
+                }
+                Query::Witness(i, x, g) => {
+                    let init = BTreeSet::from([*x]);
+                    prop_assert_eq!(
+                        witness_path(&pool[*i], &init, g),
+                        fresh::witness_path(&pool[*i], &init, g),
+                        "{:?} on {}", q, pool[*i]
+                    );
+                }
+                Query::SliceEquivalent(i, j, sw) => {
+                    let slice = slice_for_switch(&pool[*j], *sw);
+                    prop_assert_eq!(
+                        slice_equivalent(&pool[*i], &slice, Field::Switch, *sw),
+                        fresh::slice_equivalent(&pool[*i], &slice, *sw),
+                        "{:?} on {} / {}", q, pool[*i], slice
+                    );
+                }
+                Query::SliceIsDead(i, sw) => prop_assert_eq!(
+                    slice_is_dead(&pool[*i], *sw),
+                    fresh::slice_is_dead(&pool[*i], *sw),
+                    "{:?} on {}", q, pool[*i]
+                ),
+            }
+        }
+    }
 
     /// The engine and the oracle agree on the equivalence verdict, and
     /// whenever they report inequivalence the symbolic witness actually

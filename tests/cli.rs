@@ -154,6 +154,25 @@ fn netkat_reach_subcommand() {
 }
 
 #[test]
+fn netkat_reach_rejects_dup_cleanly() {
+    let (ok, _, stderr) = pda(&[
+        "netkat",
+        "reach",
+        "dup ; sw := 2",
+        "--from",
+        "sw=1",
+        "--goal",
+        "sw = 2",
+    ]);
+    assert!(!ok);
+    assert!(
+        stderr.contains("error: reachability works on the dup-free fragment"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
 fn netkat_slice_subcommand() {
     let (ok, stdout, _) = pda(&[
         "netkat",
